@@ -84,12 +84,10 @@ def _add_security_flags(parser):
 
 def _entropy_row(params: ProtocolParams, order: float, path: str) -> list:
     row = [params.eta, params.alpha, order]
-    numeric = analytic = None
     if path in ("numeric", "both"):
-        report = entropies.entropy_report(build_ensemble(params), order)
-        numeric = report
-        row += [report.petz_down, report.petz_up, report.sand_down,
-                report.sand_up, report.von_neumann, report.bound_b]
+        numeric = entropies.entropy_report(build_ensemble(params), order)
+        row += [numeric.petz_down, numeric.petz_up, numeric.sand_down,
+                numeric.sand_up, numeric.von_neumann, numeric.bound_b]
     if path in ("analytic", "both"):
         analytic = entropies.bpsk_closed_forms(params, order)
         if path == "analytic":
@@ -102,8 +100,11 @@ def _entropy_row(params: ProtocolParams, order: float, path: str) -> list:
     return row
 
 
-_ENTROPY_HEADER = ["eta", "alpha", "a", "petz_down", "petz_up", "sand_down",
-                   "sand_up", "vn", "B"]
+def _entropy_header(args) -> list[str]:
+    if args.path in ("analytic", "both") and args.protocol != "bpsk":
+        raise _ParameterError("the analytic path exists for bpsk only")
+    header = ["eta", "alpha", "a", "petz_down", "petz_up", "sand_down", "sand_up", "vn", "B"]
+    return header + (["d_petz_down", "d_petz_up", "d_sand_down"] if args.path == "both" else [])
 
 
 def _cmd_probs(args) -> int:
@@ -116,11 +117,7 @@ def _cmd_probs(args) -> int:
 
 def _cmd_entropies(args) -> int:
     params = _protocol_params(args)
-    if args.path in ("analytic", "both") and params.n_states != 2:
-        raise _ParameterError("the analytic path exists for bpsk only")
-    header = list(_ENTROPY_HEADER)
-    if args.path == "both":
-        header += ["d_petz_down", "d_petz_up", "d_sand_down"]
+    header = _entropy_header(args)
     row = _entropy_row(params, args.order, args.path)
     _emit(sys.stdout, _invocation(args), header, [row])
     return EXIT_OK
@@ -130,50 +127,42 @@ _RATE_HEADER = ["estimator", "n", "eta", "rate", "alpha_opt", "a_opt", "leak",
                 "key_possible"]
 
 
-def _single_rate(args, estimator: str) -> rates.RateResult:
-    params = ProtocolParams(n_states=PROTOCOL_SIZES[args.protocol],
-                            alpha=args.alpha, eta=args.eta)
+def _single_rate(args, spec: rates.Estimator) -> rates.RateResult:
+    if args.alpha is None:
+        raise _ParameterError("--alpha is required without --optimize")
+    if spec.takes_order and args.order is None:
+        raise _ParameterError(f"--order is required for estimator {spec.name}")
+    params = _protocol_params(args)
     sp = rates.SecurityParams(n=args.n, eps=args.eps, eps_prime=args.eps_prime,
                               a=args.order)
-    ensemble = build_ensemble(params)
-    if estimator == "S":
-        value = rates.rate_s(ensemble, sp)
-    elif estimator == "AEP":
-        value = rates.rate_aep(ensemble, sp)
-    else:
-        value = rates.rate_b(ensemble, sp)
-    return rates.RateResult(estimator=estimator, rate=value, alpha_opt=args.alpha,
-                            a_opt=None if estimator == "AEP" else args.order,
+    value = spec.rate(build_ensemble(params), sp)
+    return rates.RateResult(estimator=spec.name, rate=value, alpha_opt=args.alpha,
+                            a_opt=args.order if spec.takes_order else None,
                             leak=rates.leak(params), key_possible=value > 0.0)
 
 
-def _rate_row(result: rates.RateResult, n: float, eta: float) -> list:
-    return [result.estimator, n, eta, result.rate, result.alpha_opt,
-            result.a_opt, result.leak, result.key_possible]
+def _rate_rows(args) -> tuple[list, bool]:
+    """One row per listed estimator, optimized or at the given point."""
+    specs = [rates.estimator_spec(name) for name in args.estimator.split(",")]
+    rows = []
+    converged = True
+    for spec in specs:
+        if args.optimize:
+            result = rates.optimize_rate(
+                spec.name, PROTOCOL_SIZES[args.protocol], args.eta, args.n,
+                eps=args.eps, eps_prime=args.eps_prime, a_max=args.a_max)
+        else:
+            result = _single_rate(args, spec)
+        converged = converged and result.converged
+        rows.append([result.estimator, args.n, args.eta, result.rate, result.alpha_opt,
+                     result.a_opt, result.leak, result.key_possible])
+    return rows, converged
 
 
 def _cmd_rate(args) -> int:
-    estimators = args.estimator.split(",")
-    rows = []
-    worst_converged = True
-    for est in estimators:
-        est = est.strip().upper()
-        if est not in ("S", "AEP", "B"):
-            raise _ParameterError(f"unknown estimator {est!r}")
-        if args.optimize:
-            result = rates.optimize_rate(
-                est, PROTOCOL_SIZES[args.protocol], args.eta, args.n,
-                eps=args.eps, eps_prime=args.eps_prime, a_max=args.a_max)
-            worst_converged = worst_converged and result.converged
-        else:
-            if args.alpha is None:
-                raise _ParameterError("--alpha is required without --optimize")
-            if est != "AEP" and args.order is None:
-                raise _ParameterError(f"--order is required for estimator {est}")
-            result = _single_rate(args, est)
-        rows.append(_rate_row(result, args.n, args.eta))
+    rows, converged = _rate_rows(args)
     _emit(sys.stdout, _invocation(args), _RATE_HEADER, rows)
-    return EXIT_OK if worst_converged else EXIT_NONCONVERGED
+    return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -193,25 +182,9 @@ def _sweep_point(payload):
     kind, value, vars_dict = payload
     args = argparse.Namespace(**vars_dict)
     setattr(args, args.variable if args.variable != "a" else "order", value)
-    if args.variable == "n":
-        args.n = value
     if kind == "entropies":
-        params = ProtocolParams(n_states=PROTOCOL_SIZES[args.protocol],
-                                alpha=args.alpha, eta=args.eta)
-        return [_entropy_row(params, args.order, args.path)], True
-    rows = []
-    converged = True
-    for est in args.estimator.split(","):
-        est = est.strip().upper()
-        if args.optimize:
-            result = rates.optimize_rate(
-                est, PROTOCOL_SIZES[args.protocol], args.eta, args.n,
-                eps=args.eps, eps_prime=args.eps_prime, a_max=args.a_max)
-            converged = converged and result.converged
-        else:
-            result = _single_rate(args, est)
-        rows.append(_rate_row(result, args.n, args.eta))
-    return rows, converged
+        return [_entropy_row(_protocol_params(args), args.order, args.path)], True
+    return _rate_rows(args)
 
 
 def _cmd_sweep(args) -> int:
@@ -219,13 +192,9 @@ def _cmd_sweep(args) -> int:
     if args.eta is None and args.variable != "eta":
         raise _ParameterError("--eta is required unless it is the swept variable")
     if args.quantity == "entropies":
-        if args.path in ("analytic", "both") and args.protocol != "bpsk":
-            raise _ParameterError("the analytic path exists for bpsk only")
+        header = _entropy_header(args)
         if args.alpha is None and args.variable != "alpha":
             raise _ParameterError("entropy sweeps need --alpha unless it is swept")
-        header = list(_ENTROPY_HEADER)
-        if args.path == "both":
-            header += ["d_petz_down", "d_petz_up", "d_sand_down"]
     else:
         header = _RATE_HEADER
         if not args.optimize and args.alpha is None and args.variable != "alpha":

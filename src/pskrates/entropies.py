@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .linalg import matrix_log2, matrix_power, partial_trace
 from .optimize import initial_simplex, nelder_mead
-from .states import CQEnsemble, ProtocolParams, SymmetryGroup
+from .states import CQEnsemble, ProtocolParams
 
 LN2 = math.log(2.0)
 
@@ -63,17 +63,25 @@ def _check_reduction(ensemble: CQEnsemble) -> None:
                              "the symmetry reduction does not apply")
 
 
-def _tr_power(matrix: np.ndarray, a: float) -> float:
+def _tr_power(matrix: np.ndarray, a: float, with_power: bool = False):
     """tr(M^a) for PSD Hermitian M on its support.
 
-    Rounding noise below the relative support cutoff is dropped; for a < 1
-    such noise would otherwise be amplified (1e-16 eigenvalues contribute
-    1e-8 at a = 1/2).
+    The one spectral kernel of the numeric path. Rounding noise below the
+    relative support cutoff is dropped; for a < 1 such noise would otherwise
+    be amplified (1e-16 eigenvalues contribute 1e-8 at a = 1/2). The value
+    alone needs only ``eigvalsh``, which is cheaper than ``eigh``. With
+    ``with_power`` it returns (tr(M^a), v, w^a), M^a = v diag(w^a) v^dag in
+    factored form, so a caller forms only the part of M^a it needs.
     """
-    lam = np.linalg.eigvalsh(matrix)
-    top = max(float(lam[-1]), 0.0)
-    lam = lam[lam > linalg.SUPPORT_CUTOFF * top]
-    return float((lam**a).sum()) if lam.size else 0.0
+    with np.errstate(over="ignore"):
+        if not with_power:
+            lam = np.linalg.eigvalsh(matrix)
+            lam = lam[lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)]
+            return float((lam**a).sum())
+        w, v = np.linalg.eigh(matrix)
+        w = np.where(w > linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0), w, 0.0)
+        wa = np.where(w > 0.0, w, 1.0) ** a * (w > 0.0)
+    return float(wa.sum()), v, wa
 
 
 def _entropy_bits(matrix: np.ndarray) -> float:
@@ -141,10 +149,7 @@ def _invariant_objective(rho0: np.ndarray, a: float):
 
     def fn(q: np.ndarray) -> float:
         d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
-        lam = np.linalg.eigvalsh(d[:, None] * rho0 * d[None, :])
-        lam = lam[lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)]
-        with np.errstate(over="ignore"):
-            return float((lam**a).sum()) if lam.size else 0.0
+        return _tr_power(d[:, None] * rho0 * d[None, :], a)
 
     return fn
 
@@ -156,12 +161,8 @@ def _invariant_fixed_point(rho0, q0, a, value_tol=1e-13, max_iter=300):
 
     def evaluate(q):
         d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
-        w, v = np.linalg.eigh(d[:, None] * rho0 * d[None, :])
-        w = np.where(w > linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0), w, 0.0)
-        with np.errstate(over="ignore"):
-            wa = np.where(w > 0.0, w, 1.0) ** a * (w > 0.0)
-        fp = np.clip(np.einsum("ij,j,ij->i", v, wa, v.conj()).real, 0.0, None)
-        return float(wa.sum()), fp
+        value, v, wa = _tr_power(d[:, None] * rho0 * d[None, :], a, with_power=True)
+        return value, np.clip(np.einsum("ij,j,ij->i", v, wa, v.conj()).real, 0.0, None)
 
     q = np.clip(np.asarray(q0, dtype=float), 0.0, None)
     q = q / q.sum()
@@ -201,22 +202,19 @@ def _logodds(q: np.ndarray) -> np.ndarray:
     return np.log(safe[1:] / safe[0])
 
 
-def sandwiched_up_invariant(
-    ensemble: CQEnsemble,
-    a: float,
-    group: SymmetryGroup | None = None,
-) -> float:
+def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     """Optimized sandwiched Rényi entropy over invariant conditioning states.
 
     Returns log2 N + log2 opt_q tr[(D rho_{E|0} D)^a] / (1 - a) where the
     optimum runs over the probability simplex of diagonal states (infimum
-    for a > 1, supremum for a < 1). The result lower-bounds the optimized
-    sandwiched entropy over all states; for N=2 the two coincide
-    numerically. Non-convergence of the optimizer raises a RuntimeWarning
-    and the best value found is returned.
+    for a > 1, supremum for a < 1). For a >= 1/2 this equals the optimized
+    sandwiched entropy over all states: rho_YE is invariant under every
+    P_t x U_t and the sandwiched divergence is jointly quasi-convex there
+    (Frank-Lieb 2013; Tomamichel 2016, arXiv:1504.00233), so twirling a
+    conditioning state never lowers the entropy. Non-convergence of the
+    optimizer raises a RuntimeWarning and the best value found is returned.
     """
     a = _check_order(a)
-    del group  # validated at construction time; the invariant set is diagonal
     rho0 = ensemble.cond_states[0]
     n = ensemble.n_states
     sense = 1.0 if a > 1.0 else -1.0
@@ -288,6 +286,27 @@ def entropy_variance_cq(ensemble: CQEnsemble) -> float:
     return float(first - divergence**2)
 
 
+def _continuity_order(a: float) -> float:
+    a = float(a)
+    if not 1.0 < a <= CONTINUITY_A_MAX:
+        raise ValueError(f"continuity coefficient needs a in (1, {CONTINUITY_A_MAX}], got {a}")
+    return a
+
+
+def _coeff(ensemble: CQEnsemble, a: float, h: float, h_a: float) -> float:
+    """K(a) from the already evaluated H(Y|E) and Petz-Rényi H_a."""
+    h_2 = petz_down_cq(ensemble, 2.0)
+    scale = 2.0 ** ((a - 1.0) * (h - h_a)) / (6.0 * (2.0 - a) ** 3 * LN2)
+    return scale * math.log(2.0 ** (h - h_2) + math.e**2) ** 3
+
+
+def _continuity(ensemble: CQEnsemble, a: float, h: float, h_a: float,
+                v: float) -> tuple[float, float]:
+    """(K(a), B_a) from the already evaluated H(Y|E), H_a and V(Y|E)."""
+    k = _coeff(ensemble, a, h, h_a)
+    return k, h - (a - 1.0) * LN2 / 2.0 * v - (a - 1.0) ** 2 * k
+
+
 def continuity_coeff(ensemble: CQEnsemble, a: float) -> float:
     """Coefficient K(a) of the quadratic term in the continuity bound.
 
@@ -295,14 +314,8 @@ def continuity_coeff(ensemble: CQEnsemble, a: float) -> float:
     where H_a and H_2 are Petz-Rényi entropies. Defined for a in (1, 2);
     the pole at a = 2 is excluded.
     """
-    a = float(a)
-    if not 1.0 < a <= CONTINUITY_A_MAX:
-        raise ValueError(f"continuity coefficient needs a in (1, {CONTINUITY_A_MAX}], got {a}")
-    h = von_neumann_cq(ensemble)
-    h_a = petz_down_cq(ensemble, a)
-    h_2 = petz_down_cq(ensemble, 2.0)
-    scale = 2.0 ** ((a - 1.0) * (h - h_a)) / (6.0 * (2.0 - a) ** 3 * LN2)
-    return scale * math.log(2.0 ** (h - h_2) + math.e**2) ** 3
+    a = _continuity_order(a)
+    return _coeff(ensemble, a, von_neumann_cq(ensemble), petz_down_cq(ensemble, a))
 
 
 def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
@@ -310,10 +323,9 @@ def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
 
     H(Y|E) - (a-1) ln2/2 V(Y|E) - (a-1)^2 K(a), valid for a in (1, 2).
     """
-    k = continuity_coeff(ensemble, a)
-    h = von_neumann_cq(ensemble)
-    v = entropy_variance_cq(ensemble)
-    return h - (a - 1.0) * LN2 / 2.0 * v - (a - 1.0) ** 2 * k
+    a = _continuity_order(a)
+    return _continuity(ensemble, a, von_neumann_cq(ensemble), petz_down_cq(ensemble, a),
+                       entropy_variance_cq(ensemble))[1]
 
 
 @dataclass(frozen=True)
@@ -331,17 +343,22 @@ class EntropyReport:
 
 
 def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
-    """Evaluate every functional at once; K and B are NaN outside (1, 2)."""
-    in_continuity_range = 1.0 < a <= CONTINUITY_A_MAX
+    """Evaluate every functional once; K and B are NaN outside (1, 2)."""
+    petz_down = petz_down_cq(ensemble, a)
+    h = von_neumann_cq(ensemble)
+    v = entropy_variance_cq(ensemble)
+    k, b = math.nan, math.nan
+    if 1.0 < a <= CONTINUITY_A_MAX:
+        k, b = _continuity(ensemble, float(a), h, petz_down, v)
     return EntropyReport(
-        petz_down=petz_down_cq(ensemble, a),
+        petz_down=petz_down,
         petz_up=petz_up_cq(ensemble, a),
         sand_down=sandwiched_down_cq(ensemble, a),
         sand_up=sandwiched_up_invariant(ensemble, a),
-        von_neumann=von_neumann_cq(ensemble),
-        variance=entropy_variance_cq(ensemble),
-        coeff_k=continuity_coeff(ensemble, a) if in_continuity_range else math.nan,
-        bound_b=continuity_bound(ensemble, a) if in_continuity_range else math.nan,
+        von_neumann=h,
+        variance=v,
+        coeff_k=k,
+        bound_b=b,
     )
 
 
@@ -510,13 +527,8 @@ def sandwiched_up_general(
 
     def evaluate(sigma):
         x = np.kron(eye_a, matrix_power(sigma, c))
-        w, v = np.linalg.eigh(x @ rho @ x)
-        w = np.where(w > linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0), w, 0.0)
-        with np.errstate(over="ignore"):
-            wa = np.where(w > 0.0, w, 1.0) ** a * (w > 0.0)
-        value = float(wa.sum())
-        m_a = (v * wa) @ v.conj().T
-        nxt = partial_trace(m_a, dims, keep="B")
+        value, v, wa = _tr_power(x @ rho @ x, a, with_power=True)
+        nxt = partial_trace((v * wa) @ v.conj().T, dims, keep="B")
         nxt = 0.5 * (nxt + nxt.conj().T)
         return value, nxt / np.trace(nxt).real
 

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import entropies
 from .optimize import nelder_mead
-from .states import (
-    CQEnsemble,
-    ProtocolParams,
-    SymmetryGroup,
-    build_ensemble,
-    cond_prob_table,
-)
+from .states import CQEnsemble, ProtocolParams, build_ensemble
 
 #: Default upper bound of the Rényi-order search for the S estimator. The
 #: optimum grows as the block size shrinks, so this is user-adjustable.
@@ -133,12 +127,11 @@ def _hash_term(sp: SecurityParams) -> float:
     return (1.0 + 2.0 * math.log2(sp.eps_prime)) / sp.n
 
 
-def rate_s(ensemble: CQEnsemble, sp: SecurityParams,
-           group: SymmetryGroup | None = None) -> float:
+def rate_s(ensemble: CQEnsemble, sp: SecurityParams) -> float:
     """Key-rate bound from the optimized sandwiched Rényi entropy (a > 1)."""
     if sp.a is None or sp.a <= 1.0:
         raise ValueError("the S estimator needs a Renyi order a > 1")
-    h = entropies.sandwiched_up_invariant(ensemble, sp.a, group)
+    h = entropies.sandwiched_up_invariant(ensemble, sp.a)
     return float(h + _hash_term(sp) - g_eps(sp.eps) / (sp.n * (sp.a - 1.0))
                  - leak(ensemble.params))
 
@@ -173,20 +166,49 @@ class RateResult:
     converged: bool = True
 
 
-class _EnsembleCache:
-    """Per-alpha ensemble reuse during the grid scan."""
+@dataclass(frozen=True)
+class Estimator:
+    """One row of the estimator table.
 
-    def __init__(self, n_states: int, eta: float):
-        self.n_states = n_states
-        self.eta = eta
-        self._store: dict[float, CQEnsemble] = {}
+    ``rate_fn`` names the module-level rate function, looked up at each call.
+    An order cap above ``a_max_limit`` is an error, or clamped to it when
+    ``clamp_a_max`` is set (the continuity coefficient's pole).
+    """
 
-    def get(self, alpha: float) -> CQEnsemble:
-        key = float(alpha)
-        if key not in self._store:
-            self._store[key] = build_ensemble(
-                ProtocolParams(n_states=self.n_states, alpha=key, eta=self.eta))
-        return self._store[key]
+    name: str
+    rate_fn: str
+    takes_order: bool
+    a_max_default: float | None = None
+    a_max_limit: float | None = None
+    clamp_a_max: bool = False
+
+    def rate(self, ensemble: CQEnsemble, sp: SecurityParams) -> float:
+        return globals()[self.rate_fn](ensemble, sp)
+
+    def order_cap(self, a_max: float | None) -> float:
+        """The validated upper end of the Rényi-order search."""
+        a_max = self.a_max_default if a_max is None else a_max
+        if not 1.0 < a_max:
+            raise ValueError(f"a_max must exceed 1, got {a_max}")
+        if a_max <= self.a_max_limit or self.clamp_a_max:
+            return min(a_max, self.a_max_limit)
+        raise ValueError(f"a_max must lie in (1, {self.a_max_limit}], got {a_max}")
+
+
+ESTIMATORS = {
+    "S": Estimator("S", "rate_s", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT),
+    "AEP": Estimator("AEP", "rate_aep", False),
+    "B": Estimator("B", "rate_b", True, entropies.CONTINUITY_A_MAX,
+                   entropies.CONTINUITY_A_MAX, clamp_a_max=True),
+}
+
+
+def estimator_spec(name: str) -> Estimator:
+    """The table row of an estimator name (case and surrounding blanks ignored)."""
+    try:
+        return ESTIMATORS[name.strip().upper()]
+    except KeyError:
+        raise ValueError(f"unknown estimator {name.strip().upper()!r}") from None
 
 
 def optimize_rate(
@@ -209,42 +231,36 @@ def optimize_rate(
     optimized over alpha alone. Negative optima are returned as computed,
     flagged by ``key_possible``.
     """
-    estimator = estimator.upper()
-    if estimator not in ("S", "AEP", "B"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    if a_max is None:
-        a_max = A_MAX_S_DEFAULT if estimator == "S" else entropies.CONTINUITY_A_MAX
-    if estimator == "S" and not 1.0 < a_max <= A_MAX_S_LIMIT:
-        raise ValueError(f"a_max must lie in (1, {A_MAX_S_LIMIT}]")
-    if estimator == "B":
-        a_max = min(a_max, entropies.CONTINUITY_A_MAX)
+    spec = estimator_spec(estimator)
+    if spec.takes_order:
+        log_a_hi = math.log(spec.order_cap(a_max) - 1.0)
     lo, hi = alpha_bounds
     if not 0.0 < lo < hi:
         raise ValueError(f"invalid alpha bounds {alpha_bounds}")
 
-    cache = _EnsembleCache(n_states, eta)
+    ensembles: dict[float, CQEnsemble] = {}
     log_a_lo = math.log(_A_GRID_OFFSET_MIN)
-    log_a_hi = math.log(a_max - 1.0)
     base = SecurityParams(n=n, eps=eps, eps_prime=eps_prime)
 
     def evaluate(alpha: float, log_a: float | None) -> float:
-        ensemble = cache.get(alpha)
-        if estimator == "AEP":
-            return rate_aep(ensemble, base)
-        sp = SecurityParams(n=n, eps=eps, eps_prime=eps_prime,
-                            a=1.0 + math.exp(log_a))
-        return rate_s(ensemble, sp) if estimator == "S" else rate_b(ensemble, sp)
+        key = float(alpha)
+        if key not in ensembles:
+            ensembles[key] = build_ensemble(
+                ProtocolParams(n_states=n_states, alpha=key, eta=eta))
+        sp = base if log_a is None else SecurityParams(
+            n=n, eps=eps, eps_prime=eps_prime, a=1.0 + math.exp(log_a))
+        return spec.rate(ensembles[key], sp)
 
     alphas = np.linspace(lo, hi, grid_points)
-    if estimator == "AEP":
-        scored = [(evaluate(al, None), (al,)) for al in alphas]
-    else:
+    if spec.takes_order:
         log_as = np.linspace(log_a_lo, log_a_hi, grid_points)
         scored = [(evaluate(al, la), (al, la)) for al in alphas for la in log_as]
+    else:
+        scored = [(evaluate(al, None), (al,)) for al in alphas]
     # deterministic reduction: max by value, ties to smallest parameters
     scored.sort(key=lambda item: (-item[0], item[1]))
 
-    dim = 1 if estimator == "AEP" else 2
+    dim = 2 if spec.takes_order else 1
     simplex = [np.array(scored[i][1]) for i in range(dim + 1)]
     if dim == 2:
         span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
@@ -260,7 +276,7 @@ def optimize_rate(
 
     def clip(x: np.ndarray) -> tuple[float, float | None]:
         alpha = float(min(max(x[0], lo), hi))
-        if estimator == "AEP":
+        if not spec.takes_order:
             return alpha, None
         log_a = float(min(max(x[1], math.log(A_MIN_OFFSET)), log_a_hi))
         return alpha, log_a
@@ -274,11 +290,11 @@ def optimize_rate(
     if scored[0][0] > best_rate:  # keep the grid winner if refinement regressed
         best_rate = scored[0][0]
         alpha_opt = scored[0][1][0]
-        log_a_opt = None if estimator == "AEP" else scored[0][1][1]
+        log_a_opt = scored[0][1][1] if spec.takes_order else None
 
-    a_opt = None if estimator == "AEP" else 1.0 + math.exp(log_a_opt)
+    a_opt = 1.0 + math.exp(log_a_opt) if spec.takes_order else None
     return RateResult(
-        estimator=estimator,
+        estimator=spec.name,
         rate=float(best_rate),
         alpha_opt=float(alpha_opt),
         a_opt=a_opt,

@@ -135,7 +135,7 @@ class TestRate:
         assert code == EXIT_PARAMS
 
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
-        def stub(ensemble, a, group=None):
+        def stub(ensemble, a):
             import warnings
             warnings.warn("invariant-state optimization did not reach tolerance",
                           entropies.ConvergenceWarning, stacklevel=2)
@@ -149,7 +149,35 @@ class TestRate:
         assert "tolerance" in err
 
 
+    def test_order_cap_at_or_below_one_is_named(self, capsys):
+        for a_max in ("1.0", "0.5"):
+            code, out, err = run_cli(capsys, "rate", "--protocol", "bpsk",
+                                     "--estimator", "B", "--n", "1e4", "--eta", "0.9",
+                                     "--optimize", "--a-max", a_max)
+            assert code == EXIT_PARAMS
+            assert "a_max" in err
+            assert out == ""
+
+    def test_unknown_estimator_is_parameter_error(self, capsys):
+        code, out, err = run_cli(capsys, "rate", "--protocol", "bpsk",
+                                 "--estimator", "S,X", "--n", "1e4", "--eta", "0.9",
+                                 "--alpha", "1", "--order", "1.5")
+        assert code == EXIT_PARAMS
+        assert "unknown estimator 'X'" in err
+        assert out == ""
+
+
 class TestSweep:
+    def test_unknown_estimator_is_parameter_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--variable", "n",
+                                 "--from", "1e4", "--to", "1e5", "--points", "2",
+                                 "--quantity", "rate", "--protocol", "bpsk",
+                                 "--alpha", "1", "--eta", "0.9", "--estimator", "X,B")
+        assert code == EXIT_PARAMS
+        assert "unknown estimator 'X'" in err
+        assert out == ""
+
+
     def test_eta_sweep_and_determinism(self, capsys):
         argv = ("sweep", "--variable", "eta", "--from", "0.2", "--to", "0.8",
                 "--points", "4", "--scale", "linear", "--quantity", "entropies",

@@ -211,12 +211,16 @@ class TestSandwichedUpInvariant:
         oracle = math.log2(best) / (1.0 - a)
         assert abs(sandwiched_up_invariant(ensemble, a) - oracle) <= 1e-8
 
-    def test_qpsk_general_never_below_restricted(self):
-        ensemble = build_ensemble(ProtocolParams(4, 1.0, 0.7))
-        rho, _ = assemble_cq_state(ensemble)
-        for a in (1.2, 2.0):
-            general = sandwiched_up_general(rho, (4, 4), a)
-            assert general >= sandwiched_up_invariant(ensemble, a) - 1e-8
+    def test_restricted_equals_unrestricted_qpsk(self):
+        # the invariant restriction is exact for a >= 1/2 (joint
+        # quasi-convexity plus the P_t x U_t invariance of rho_YE), so the
+        # general search over all marginals must land on the same value
+        for alpha in (0.6, 1.0, 1.5):
+            ensemble = build_ensemble(ProtocolParams(4, alpha, 0.7))
+            rho, _ = assemble_cq_state(ensemble)
+            for a in (1.2, 2.0, 3.0):
+                general = sandwiched_up_general(rho, (4, 4), a)
+                assert abs(general - sandwiched_up_invariant(ensemble, a)) <= 1e-8
 
     def test_min_entropy_limit_matches_guessing_probability(self):
         # as the order grows the value approaches -log2 of Eve's optimal

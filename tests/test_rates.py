@@ -177,6 +177,10 @@ class TestOptimizeRate:
             optimize_rate("X", 2, 0.9, 1e6)
         with pytest.raises(ValueError):
             optimize_rate("S", 2, 0.9, 1e6, a_max=100.0)
+        for estimator in ("S", "B"):
+            for a_max in (1.0, 0.5):
+                with pytest.raises(ValueError, match="a_max"):
+                    optimize_rate(estimator, 2, 0.9, 1e6, a_max=a_max)
 
     def test_result_invariants(self):
         result = optimize_rate("B", 2, 0.9, 1e5)
@@ -184,3 +188,5 @@ class TestOptimizeRate:
         assert result.rate <= math.log2(2)
         assert result.leak >= 0.0
         assert 1.0 < result.a_opt < 2.0
+        # a cap beyond the continuity pole is clamped to it, not rejected
+        assert optimize_rate("B", 2, 0.9, 1e5, a_max=16.0) == result
