@@ -205,10 +205,10 @@ ESTIMATORS = {
 
 def estimator_spec(name: str) -> Estimator:
     """The table row of an estimator name (case and surrounding blanks ignored)."""
-    try:
-        return ESTIMATORS[name.strip().upper()]
-    except KeyError:
-        raise ValueError(f"unknown estimator {name.strip().upper()!r}") from None
+    key = name.strip().upper()
+    if key not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {key!r}")
+    return ESTIMATORS[key]
 
 
 def optimize_rate(
