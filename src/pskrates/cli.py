@@ -197,6 +197,9 @@ def _cmd_sweep(args) -> int:
             raise _ParameterError("entropy sweeps need --alpha unless it is swept")
     else:
         header = _RATE_HEADER
+        if args.optimize and args.variable in ("alpha", "a"):
+            raise _ParameterError(f"--optimize searches alpha and a itself; "
+                                  f"sweep eta or n instead of {args.variable}")
         if not args.optimize and args.alpha is None and args.variable != "alpha":
             raise _ParameterError("rate sweeps need --alpha or --optimize")
 

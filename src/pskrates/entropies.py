@@ -134,13 +134,74 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #
 # Invariant states commute with every U_t; the U_t have non-degenerate
 # diagonal phases in the stored basis, so the invariant set is exactly the
-# diagonal states: a 1-simplex for N=2 and a 3-simplex for N=4. The trace
-# functional restricted to that simplex has the stationarity condition
-# q proportional to diag(M^a) with M = D rho_{E|0} D, D = diag(q)^((1-a)/2a),
-# which drives a damped fixed-point presolve. A Nelder-Mead polish in
-# log-odds coordinates verifies the presolve; if either disagrees or fails
-# to converge, a five-seed global Nelder-Mead restart takes over.
+# diagonal states: a 1-simplex for N=2 and a 3-simplex for N=4.
+#
+# N=2 with a > 1: the trace functional is convex in q (Frank-Lieb 2013), so
+# in the log-odds z = log(q1/q0) it is unimodal. Its 2x2 spectrum has a
+# closed form, evaluated in the log domain so that orders up to 64 neither
+# overflow nor underflow, and a golden-section search over z in [-60, 60]
+# (the softmax clip) finds the minimum to |dz| <= 1e-11 without warnings.
+#
+# Otherwise (N=4, or a < 1): the stationarity condition q proportional to
+# diag(M^a) with M = D rho_{E|0} D, D = diag(q)^((1-a)/2a), drives a damped
+# fixed-point presolve. A Nelder-Mead polish in log-odds coordinates
+# verifies the presolve; if either disagrees or fails to converge, a
+# five-seed global Nelder-Mead restart takes over. The golden search is not
+# used for a < 1: near-pure rho_{E|0} and a near 1/2 make the support cut a
+# discontinuity of the objective, and the supremum can lie inside the cut.
 # ---------------------------------------------------------------------------
+
+#: Log-odds search interval and tolerance of the two-state golden search.
+_LOGODDS_CLIP = 60.0
+_LOGODDS_TOL = 1e-11
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _softplus(z: float) -> float:
+    """log(1 + e^z) without overflow."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
+def _two_state_log_trace(rho0: np.ndarray, a: float):
+    """z -> log tr[(D rho0 D)^a] for N=2 and a > 1, q = (1, e^z) / (1 + e^z).
+
+    M = D rho0 D has m00 = q0^2c rho00, m11 = q1^2c rho11 and
+    |m01|^2 = (q0 q1)^2c |rho01|^2. The smaller eigenvalue comes from the
+    determinant, (q0 q1)^2c det(rho0) / lam_+, not from a difference, and is
+    dropped below the relative support cutoff as in ``_tr_power``.
+    """
+    c2 = (1.0 - a) / a
+    p0, p1 = float(rho0[0, 0].real), float(rho0[1, 1].real)
+    off = float(abs(rho0[0, 1])) ** 2
+    det = max(p0 * p1 - off, 0.0)
+    cutoff = linalg.SUPPORT_CUTOFF
+
+    def fn(z: float) -> float:
+        e0 = -c2 * _softplus(z)  # log q0^2c
+        e1 = -c2 * _softplus(-z)  # log q1^2c
+        m0, m1, cross = p0 * math.exp(e0), p1 * math.exp(e1), math.exp(e0 + e1)
+        lam = 0.5 * (m0 + m1) + math.sqrt(0.25 * (m0 - m1) ** 2 + off * cross)
+        ratio = cross * det / (lam * lam)
+        log_t = a * math.log(lam)
+        return log_t + math.log1p(ratio**a) if ratio > cutoff else log_t
+
+    return fn
+
+
+def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
+    """Smallest value of a unimodal ``fn`` on [lo, hi], bracketed to ``tol``."""
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = fn(x2)
+    return min(f1, f2)
 
 
 def _invariant_objective(rho0: np.ndarray, a: float):
@@ -192,7 +253,7 @@ def _invariant_fixed_point(rho0, q0, a, value_tol=1e-13, max_iter=300):
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = np.clip(z, -60.0, 60.0)
+    z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
     e = np.exp(z - z.max())
     return e / e.sum()
 
@@ -211,12 +272,20 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     sandwiched entropy over all states: rho_YE is invariant under every
     P_t x U_t and the sandwiched divergence is jointly quasi-convex there
     (Frank-Lieb 2013; Tomamichel 2016, arXiv:1504.00233), so twirling a
-    conditioning state never lowers the entropy. Non-convergence of the
-    optimizer raises a RuntimeWarning and the best value found is returned.
+    conditioning state never lowers the entropy.
+
+    For N=2 and a > 1 the optimum is a closed-form, log-domain golden-section
+    search over the log-odds of q, which is deterministic and never warns.
+    Otherwise non-convergence of the Nelder-Mead optimizer raises a
+    ConvergenceWarning and the best value found is returned.
     """
     a = _check_order(a)
     rho0 = ensemble.cond_states[0]
     n = ensemble.n_states
+    if n == 2 and a > 1.0:
+        log_t = _golden_min(_two_state_log_trace(rho0, a),
+                            -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
+        return math.log2(n) + log_t / (LN2 * (1.0 - a))
     sense = 1.0 if a > 1.0 else -1.0
     objective = _invariant_objective(rho0, a)
 

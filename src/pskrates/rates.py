@@ -15,6 +15,7 @@ reconciliation. Rates are reported as computed (possibly negative); the
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,11 @@ def optimize_rate(
     smallest (alpha, a). The AEP estimator has no order parameter and is
     optimized over alpha alone. Negative optima are returned as computed,
     flagged by ``key_possible``.
+
+    ConvergenceWarnings of the entropy evaluations are collected: if any
+    arose, the result has ``converged=False`` and one ConvergenceWarning
+    after the search names the estimator, n and the first (alpha, a) that
+    warned.
     """
     spec = estimator_spec(estimator)
     if spec.takes_order:
@@ -241,6 +247,7 @@ def optimize_rate(
     ensembles: dict[float, CQEnsemble] = {}
     log_a_lo = math.log(_A_GRID_OFFSET_MIN)
     base = SecurityParams(n=n, eps=eps, eps_prime=eps_prime)
+    warned: list = []  # (alpha, a, message) of every ConvergenceWarning
 
     def evaluate(alpha: float, log_a: float | None) -> float:
         key = float(alpha)
@@ -249,7 +256,15 @@ def optimize_rate(
                 ProtocolParams(n_states=n_states, alpha=key, eta=eta))
         sp = base if log_a is None else SecurityParams(
             n=n, eps=eps, eps_prime=eps_prime, a=1.0 + math.exp(log_a))
-        return spec.rate(ensembles[key], sp)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", entropies.ConvergenceWarning)
+            value = spec.rate(ensembles[key], sp)
+        for w in caught:
+            if issubclass(w.category, entropies.ConvergenceWarning):
+                warned.append((key, sp.a, str(w.message)))
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return value
 
     alphas = np.linspace(lo, hi, grid_points)
     if spec.takes_order:
@@ -293,6 +308,12 @@ def optimize_rate(
         log_a_opt = scored[0][1][1] if spec.takes_order else None
 
     a_opt = 1.0 + math.exp(log_a_opt) if spec.takes_order else None
+    if warned:
+        alpha_w, a_w, message = warned[0]
+        at = f"alpha={alpha_w:.6g}" + ("" if a_w is None else f", a={a_w:.6g}")
+        warnings.warn(f"{spec.name} rate at n={n:g}: {len(warned)} entropy evaluation(s) "
+                      f"did not converge, first at {at} ({message})",
+                      entropies.ConvergenceWarning, stacklevel=2)
     return RateResult(
         estimator=spec.name,
         rate=float(best_rate),
@@ -300,5 +321,5 @@ def optimize_rate(
         a_opt=a_opt,
         leak=leak(ProtocolParams(n_states=n_states, alpha=alpha_opt, eta=eta)),
         key_possible=bool(best_rate > 0.0),
-        converged=bool(refined.converged),
+        converged=bool(refined.converged) and not warned,
     )

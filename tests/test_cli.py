@@ -149,6 +149,30 @@ class TestRate:
         assert "tolerance" in err
 
 
+    def test_optimize_nonconvergence_names_the_point(self, capsys, monkeypatch):
+        def stub(ensemble, a):
+            import warnings
+            warnings.warn("invariant-state optimization did not reach tolerance",
+                          entropies.ConvergenceWarning, stacklevel=2)
+            return 0.5
+
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        code, out, err = run_cli(capsys, "rate", "--protocol", "bpsk",
+                                 "--estimator", "S", "--n", "1e6", "--eta", "0.9",
+                                 "--optimize")
+        assert code == EXIT_NONCONVERGED
+        assert out == ""
+        assert "S rate at n=1e+06" in err
+        assert "first at alpha=0.05, a=1.00001" in err
+
+    def test_bpsk_order_cap_64(self, capsys):
+        code, out, _ = run_cli(capsys, "rate", "--protocol", "bpsk",
+                               "--estimator", "S", "--n", "316.23", "--eta", "0.9",
+                               "--optimize", "--a-max", "64")
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        assert float(dict(zip(header, rows[0]))["a_opt"]) == 64.0
+
     def test_order_cap_at_or_below_one_is_named(self, capsys):
         for a_max in ("1.0", "0.5"):
             code, out, err = run_cli(capsys, "rate", "--protocol", "bpsk",
@@ -168,6 +192,16 @@ class TestRate:
 
 
 class TestSweep:
+    def test_optimize_rejects_swept_alpha_or_order(self, capsys):
+        for variable, lo, hi in (("a", "1.1", "1.5"), ("alpha", "0.5", "1.5")):
+            code, out, err = run_cli(capsys, "sweep", "--variable", variable,
+                                     "--from", lo, "--to", hi, "--points", "2",
+                                     "--quantity", "rate", "--protocol", "bpsk",
+                                     "--eta", "0.9", "--optimize", "--estimator", "AEP,B")
+            assert code == EXIT_PARAMS
+            assert "--optimize searches alpha and a itself" in err
+            assert out == ""
+
     def test_unknown_estimator_is_parameter_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--variable", "n",
                                  "--from", "1e4", "--to", "1e5", "--points", "2",

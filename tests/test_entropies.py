@@ -5,6 +5,7 @@ import pytest
 
 from pskrates.entropies import (
     BpskClosedFormInputs,
+    _invariant_objective,
     bpsk_closed_forms,
     continuity_bound,
     continuity_coeff,
@@ -173,13 +174,39 @@ class TestSandwichedUpInvariant:
                         >= sandwiched_down_cq(ensemble, a) - 1e-9)
 
     def test_restricted_equals_unrestricted_bpsk(self):
-        # oracle 1: general optimization on the assembled block state
-        for (alpha, eta, a) in ((1.0, 0.6, 1.2), (0.95, 0.9, 2.0), (1.05, 0.9, 4.0)):
+        # oracle 1: general optimization on the assembled block state, at
+        # three points and on the grid of the QPSK equality below
+        points = [(1.0, 0.6, 1.2), (0.95, 0.9, 2.0), (1.05, 0.9, 4.0)]
+        points += [(alpha, 0.7, a) for alpha in (0.6, 1.0, 1.5) for a in (1.2, 2.0, 3.0)]
+        for (alpha, eta, a) in points:
             ensemble = build_ensemble(ProtocolParams(2, alpha, eta))
             rho, _ = assemble_cq_state(ensemble)
             general = sandwiched_up_general(rho, (2, 2), a)
             restricted = sandwiched_up_invariant(ensemble, a)
             assert abs(general - restricted) <= 1e-8
+
+    def test_two_state_search_matches_eigensolver_minimum(self):
+        # oracle 3: Nelder-Mead from three log-odds starts on the eigvalsh
+        # trace functional, scaled to bits so that its tolerance is absolute
+        # in the entropy. Below a = 1.001 both sides carry the rounding
+        # noise of log2(T) / (1 - a), about 1e-16 / (a - 1) bits.
+        rng = philox_rng(311)
+        for _ in range(200):
+            alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+            a = 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(63.0))
+            ensemble = build_ensemble(ProtocolParams(2, alpha, eta))
+            objective = _invariant_objective(ensemble.cond_states[0], a)
+
+            def scaled(x):
+                z = min(max(float(x[0]), -60.0), 60.0)
+                q = np.array([1.0, math.exp(z)]) / (1.0 + math.exp(z))
+                return math.log2(objective(q)) / (a - 1.0)
+
+            best = min(nelder_mead(scaled, initial_simplex([z0], 0.5),
+                                   f_tol=1e-14, max_iter=100).fun
+                       for z0 in (-3.0, 0.0, 3.0))
+            tol = 1e-10 if a >= 1.001 else 1e-9
+            assert abs(sandwiched_up_invariant(ensemble, a) - (1.0 - best)) <= tol
 
     def test_restricted_matches_full_bloch_search(self):
         # oracle 2: direct search over every 2x2 density matrix, against the

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import pskrates.entropies as entropies
 from pskrates.entropies import von_neumann_cq
 from pskrates.oracles import erf_oracle
 from pskrates.rates import (
@@ -190,3 +192,22 @@ class TestOptimizeRate:
         assert 1.0 < result.a_opt < 2.0
         # a cap beyond the continuity pole is clamped to it, not rejected
         assert optimize_rate("B", 2, 0.9, 1e5, a_max=16.0) == result
+
+    def test_inner_warnings_mark_result_unconverged(self, monkeypatch):
+        def stub(ensemble, a):
+            if a > 2.0:
+                warnings.warn("invariant-state optimization did not reach tolerance",
+                              entropies.ConvergenceWarning, stacklevel=2)
+            return 1.0 - 0.1 * (ensemble.params.alpha - 1.0) ** 2
+
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = optimize_rate("S", 2, 0.9, 1e6, grid_points=5)
+        assert not result.converged
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, entropies.ConvergenceWarning)]
+        assert len(messages) == 1
+        # the first grid point above a = 2 is the cap a = 4 at the smallest alpha
+        assert messages[0].startswith("S rate at n=1e+06:")
+        assert "first at alpha=0.05, a=4 " in messages[0]
