@@ -134,27 +134,65 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #
 # Invariant states commute with every U_t; the U_t have non-degenerate
 # diagonal phases in the stored basis, so the invariant set is exactly the
-# diagonal states: a 1-simplex for N=2 and a 3-simplex for N=4.
+# diagonal states q: a 1-simplex for N=2 and a 3-simplex for N=4. With
+# M = D rho_{E|0} D, D = diag(q)^c and c = (1-a)/2a, the trace
+# T(q) = tr(M^a) is minimized for a > 1 and maximized for a < 1. For a > 1
+# it is convex in q (Frank-Lieb 2013). Three paths solve for q, all in the
+# log-odds z_i = log(q_i/q_0), clipped to [-60, 60]:
 #
-# N=2 with a > 1: the trace functional is convex in q (Frank-Lieb 2013), so
-# in the log-odds z = log(q1/q0) it is unimodal. Its 2x2 spectrum has a
-# closed form, evaluated in the log domain so that orders up to 64 neither
-# overflow nor underflow, and a golden-section search over z in [-60, 60]
-# (the softmax clip) finds the minimum to |dz| <= 1e-11 without warnings.
+# * N=2, a > 1: the 2x2 spectrum has a closed form, evaluated in the log
+#   domain so that orders up to 64 neither overflow nor underflow. Convexity
+#   makes log T unimodal in z, and a golden-section search finds the
+#   minimum to |dz| <= 1e-11 without warnings.
 #
-# Otherwise (N=4, or a < 1): the stationarity condition q proportional to
-# diag(M^a) with M = D rho_{E|0} D, D = diag(q)^((1-a)/2a), drives a damped
-# fixed-point presolve. A Nelder-Mead polish in log-odds coordinates
-# verifies the presolve; if either disagrees or fails to converge, a
-# five-seed global Nelder-Mead restart takes over. The golden search is not
-# used for a < 1: near-pure rho_{E|0} and a near 1/2 make the support cut a
-# discontinuity of the objective, and the supremum can lie inside the cut.
+# * N=4, a > 1: a damped Newton method that stops on a certificate. Each
+#   iterate costs one eigh of M, scaled by its largest eigenvalue so that
+#   log T = a log(lam_max) + log tr(M'^a) with M' = M / lam_max. With
+#   u_i = c log q_i and w_i = (M^a)_ii / T:
+#   - gradient: d log T / du = 2a w, so d log T / dz_i = (1-a)(w_i - q_i);
+#   - Hessian (Daleckii-Krein): d^2 T / du_k du_l = 2a sum_mn V_km V*_kn
+#     f1(lam_m, lam_n)(lam_m + lam_n) V*_lm V_ln, f1 the divided
+#     differences of x^a. Since log T(u + s) = log T(u) + 2a s, the
+#     u-Hessian H_u of log T annihilates the all-ones vector, and the
+#     log-odds Hessian is c^2 H_u + (a-1)(diag q - q q^T), both restricted
+#     to i, j >= 1;
+#   - certificate: the Frank-Wolfe gap of T at q is
+#     (a-1) T (max_i r_i - 1), r_i = w_i / q_i, and bounds T - T*. So
+#     max_i r_i - 1 <= e ln 2 bounds the entropy error by e bits; the solve
+#     certifies e = _CERTIFY_BITS.
+#   The computed r_i carries a rounding floor. eigh (Householder
+#   tridiagonalization, then QR) returns the exact decomposition of M' + E
+#   with |E|_F <= N^2 u |M'| (u the unit roundoff, |M'| = 1); the divided
+#   differences of x^a on [0, 1] are at most a, so (M'^a)_ii moves by at
+#   most a N^2 u, and tr(M'^a) >= 1. Hence
+#   |dr_i| <= a N^2 u (1 / (q_i tr M'^a) + r_i) =: floor_i, which matters
+#   for tiny q_i. The stopping test subtracts floor_i from each r_i - 1, and
+#   a weight whose |r_i - 1| is within floor_i carries no usable gradient,
+#   so the Newton step leaves it fixed. Steps are backtracked until log T
+#   falls by the Armijo amount, or until it stays within twice its own
+#   rounding and the gap falls: near the optimum (or near a = 1) the
+#   change in log T drops below its rounding, and the gap is then the
+#   merit function. A solve that does not certify warns with the order,
+#   the gap and the tolerance.
+#
+# * a < 1, either N: the stationarity condition q proportional to
+#   diag(M^a) drives a damped fixed-point presolve. A Nelder-Mead polish in
+#   log-odds coordinates verifies it; if either disagrees or fails to
+#   converge, a five-seed global Nelder-Mead restart takes over. Neither
+#   fast path is used here: near-pure rho_{E|0} and a near 1/2 make the
+#   support cut a discontinuity of the objective, and the supremum can lie
+#   inside the cut.
 # ---------------------------------------------------------------------------
 
 #: Log-odds search interval and tolerance of the two-state golden search.
 _LOGODDS_CLIP = 60.0
 _LOGODDS_TOL = 1e-11
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Entropy error (bits) the Newton solve certifies, and its iteration cap.
+_CERTIFY_BITS = 1e-12
+_NEWTON_MAX_ITER = 50
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def _softplus(z: float) -> float:
@@ -204,6 +242,118 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
     return min(f1, f2)
 
 
+def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
+    """f1(x_m, x_n) of f(x) = x^a for x in [0, 1], a > 1.
+
+    With y the larger argument and r the ratio of the smaller to it, this is
+    y^(a-1) expm1(a ln r) / expm1(ln r): exact for nearly equal arguments,
+    a y^(a-1) at r = 1, y^(a-1) at r = 0, and f'(0) = 0 at x_m = x_n = 0.
+    """
+    hi = np.maximum(x[:, None], x[None, :])
+    lo = np.minimum(x[:, None], x[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(lo / hi)
+        ratio = np.where(log_r == 0.0, a, np.expm1(a * log_r) / np.expm1(log_r))
+        return np.where(hi > 0.0, hi ** (a - 1.0) * ratio, 0.0)
+
+
+class _Iterate(NamedTuple):
+    """One Newton iterate: log-odds, weights, scaled spectrum and certificate."""
+
+    z: np.ndarray
+    q: np.ndarray
+    x: np.ndarray  # eigenvalues of M / lam_max, zero below the support cut
+    v: np.ndarray
+    w: np.ndarray  # (M^a)_ii / T
+    t: float  # tr (M / lam_max)^a
+    log_t: float
+    noise: float  # rounding of log_t
+    kkt: np.ndarray  # r_i - 1 with r_i = w_i / q_i
+    floor: np.ndarray  # rounding floor of r_i
+
+    @property
+    def gap(self) -> float:
+        return float((self.kkt - self.floor).max())
+
+
+def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
+    """Certified min_q log tr[(D rho0 D)^a] for a > 1 (see the comment above).
+
+    A zero row of rho0 adds nothing to M, so its weight is set to zero. The
+    largest diagonal entry is the reference weight q_0. The start q_i
+    proportional to rho0_ii^(a/(2a-1)) is the optimum for pure rho0 and as
+    a -> 1.
+    """
+    p = np.diag(rho0).real
+    support = np.flatnonzero(p > 0.0)
+    support = support[np.argsort(-p[support], kind="stable")]
+    rho = rho0[np.ix_(support, support)]
+    n = rho0.shape[0]
+    c = (1.0 - a) / (2.0 * a)
+    tol = _CERTIFY_BITS * LN2
+    eps = a * n * n * _UNIT_ROUNDOFF
+
+    def evaluate(z: np.ndarray) -> _Iterate:
+        z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
+        top = float(z.max(initial=0.0))
+        log_q = np.concatenate(([0.0], z))
+        log_q -= top + math.log(np.exp(log_q - top).sum())
+        q = np.exp(log_q)
+        d = np.exp(c * log_q)
+        lam, v = np.linalg.eigh(rho * np.outer(d, d))
+        x = lam / lam[-1]
+        x[x <= linalg.SUPPORT_CUTOFF] = 0.0
+        xa = x**a
+        t = float(xa.sum())
+        w = (v.real**2 + v.imag**2) @ xa / t
+        ratio = w / q
+        log_scale, log_t = math.log(lam[-1]), math.log(t)
+        return _Iterate(z, q, x, v, w, t, a * log_scale + log_t,
+                        _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps,
+                        ratio - 1.0, eps * (1.0 / (q * t) + ratio))
+
+    def newton_step(it: _Iterate, free: np.ndarray) -> tuple[float, np.ndarray]:
+        k = it.q.size
+        kernel = _power_divided_differences(it.x, a) * (it.x[:, None] + it.x[None, :])
+        proj = (it.v.T[:, :, None] * it.v.T.conj()[:, None, :]).reshape(k, k * k)
+        h_t = (proj * (kernel @ proj.conj())).sum(axis=0).real.reshape(k, k)
+        g_u = 2.0 * a * it.w
+        h_u = 2.0 * a * h_t / it.t - np.outer(g_u, g_u)
+        qf = it.q[1:]
+        h_z = c * c * h_u[1:, 1:] + (a - 1.0) * (np.diag(qf) - np.outer(qf, qf))
+        grad = (1.0 - a) * (it.w - it.q)[1:][free]
+        mu, vec = np.linalg.eigh(h_z[np.ix_(free, free)])
+        mu = np.maximum(np.abs(mu), 1e-12 * np.abs(mu).max())
+        step = np.zeros(k - 1)
+        step[free] = -vec @ ((vec.T @ grad) / mu)
+        return float(grad @ step[free]), step
+
+    log_q0 = a / (2.0 * a - 1.0) * np.log(p[support])
+    it = evaluate(log_q0[1:] - log_q0[0])
+    for _ in range(_NEWTON_MAX_ITER):
+        # a weight whose residual is within its rounding floor stays put
+        free = np.abs(it.kkt[1:]) > it.floor[1:]
+        if it.gap <= tol or not free.any():
+            break
+        slope, step = newton_step(it, free)
+        tau = 1.0
+        while tau >= 1e-10:
+            cand = evaluate(it.z + tau * step)
+            if cand.log_t <= it.log_t + 1e-4 * tau * slope or (
+                    cand.log_t <= it.log_t + 2.0 * it.noise and cand.gap < it.gap):
+                break
+            tau *= 0.5
+        else:  # no acceptable step: stop and report the gap
+            break
+        it = cand
+    if it.gap > tol:
+        warnings.warn(f"invariant-state Newton solve at a={a:.6g} did not certify: "
+                      f"Frank-Wolfe gap {it.gap:.3g} above tolerance {tol:.3g} "
+                      f"(max_i (M^a)_ii / (q_i T) - 1 against {_CERTIFY_BITS:g} bits * ln 2); "
+                      "returning best value found", ConvergenceWarning, stacklevel=3)
+    return it.log_t
+
+
 def _invariant_objective(rho0: np.ndarray, a: float):
     """Trace functional q -> tr[(D rho0 D)^a], D = diag(q^((1-a)/2a))."""
     c = (1.0 - a) / (2.0 * a)
@@ -216,9 +366,8 @@ def _invariant_objective(rho0: np.ndarray, a: float):
 
 
 def _invariant_fixed_point(rho0, q0, a, value_tol=1e-13, max_iter=300):
-    """Damped iteration q <- normalize(diag(M^a)); returns (q, value, ok)."""
+    """Damped ascent q <- normalize(diag(M^a)) for a < 1; returns (q, value, ok)."""
     c = (1.0 - a) / (2.0 * a)
-    sense = 1.0 if a > 1.0 else -1.0  # minimize the trace for a > 1
 
     def evaluate(q):
         d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
@@ -242,7 +391,7 @@ def _invariant_fixed_point(rho0, q0, a, value_tol=1e-13, max_iter=300):
                 continue
             cand /= norm
             v_cand, fp_cand = evaluate(cand)
-            if sense * (v_cand - value) <= 1e-18:
+            if value - v_cand <= 1e-18:
                 q_next, v_next, fp_next = cand, v_cand, fp_cand
                 break
             tau *= 0.5
@@ -274,38 +423,50 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     (Frank-Lieb 2013; Tomamichel 2016, arXiv:1504.00233), so twirling a
     conditioning state never lowers the entropy.
 
-    For N=2 and a > 1 the optimum is a closed-form, log-domain golden-section
-    search over the log-odds of q, which is deterministic and never warns.
-    Otherwise non-convergence of the Nelder-Mead optimizer raises a
-    ConvergenceWarning and the best value found is returned.
+    The solve runs in the log-odds z_i = log(q_i / q_0) on one of three
+    paths (details in the comment above ``_LOGODDS_CLIP``):
+
+    * N=2, a > 1: a log-domain golden-section search over the closed-form
+      2x2 spectrum; deterministic, never warns.
+    * N=4, a > 1: damped Newton with the exact (Daleckii-Krein) Hessian. It
+      stops once the Frank-Wolfe gap certifies the value to 1e-12 bits:
+      max_i (M^a)_ii / (q_i tr M^a) - 1 <= 1e-12 ln 2, up to the rounding
+      floor of that ratio. If it cannot certify, a ConvergenceWarning gives
+      the order, the gap reached and the tolerance.
+    * a < 1: a damped fixed point, a Nelder-Mead polish and a five-seed
+      restart; non-convergence raises a ConvergenceWarning.
+
+    A warning never hides the value: the best one found is returned.
     """
     a = _check_order(a)
     rho0 = ensemble.cond_states[0]
     n = ensemble.n_states
-    if n == 2 and a > 1.0:
-        log_t = _golden_min(_two_state_log_trace(rho0, a),
-                            -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
+    if a > 1.0:
+        if n == 2:
+            log_t = _golden_min(_two_state_log_trace(rho0, a),
+                                -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
+        else:
+            log_t = _newton_log_trace(rho0, a)
         return math.log2(n) + log_t / (LN2 * (1.0 - a))
-    sense = 1.0 if a > 1.0 else -1.0
     objective = _invariant_objective(rho0, a)
 
-    def signed(z):
-        return sense * objective(_softmax(np.concatenate(([0.0], np.atleast_1d(z)))))
+    def negated(z):  # the trace is maximized for a < 1
+        return -objective(_softmax(np.concatenate(([0.0], np.atleast_1d(z)))))
 
     q_avg = np.clip(np.diag(ensemble.avg_state).real, 0.0, None)
     q_avg = q_avg / q_avg.sum()
 
     q_fp, value_fp, fp_ok = _invariant_fixed_point(rho0, q_avg, a)
     polish = nelder_mead(
-        signed,
+        negated,
         initial_simplex(_logodds(q_fp), 0.05),
         f_tol=1e-13,
         max_iter=80 * (n - 1),
     )
-    best = min(sense * value_fp, polish.fun)
+    best = min(-value_fp, polish.fun)
     converged = fp_ok and polish.converged
 
-    improved = sense * value_fp - polish.fun > 1e-10 * max(1.0, abs(best))
+    improved = -value_fp - polish.fun > 1e-10 * max(1.0, abs(best))
     if not fp_ok or improved:
         converged = True
         dim = n - 1
@@ -317,14 +478,14 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
             np.array([2.0 * (-1.0) ** i for i in range(dim)]),
         ]
         for seed in seeds:
-            res = nelder_mead(signed, initial_simplex(seed, 0.8),
+            res = nelder_mead(negated, initial_simplex(seed, 0.8),
                               f_tol=1e-13, max_iter=200 * dim + 100)
             best = min(best, res.fun)
             converged = converged and res.converged
     if not converged:
         warnings.warn("invariant-state optimization did not reach tolerance; "
                       "returning best value found", ConvergenceWarning, stacklevel=2)
-    return math.log2(n) + math.log2(sense * best) / (1.0 - a)
+    return math.log2(n) + math.log2(-best) / (1.0 - a)
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:

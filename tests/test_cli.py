@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class TestRate:
         assert code == EXIT_OK
         header, rows = parse_csv(out)
         assert float(dict(zip(header, rows[0]))["a_opt"]) == 64.0
+
+    def test_qpsk_order_cap_16(self, capsys):
+        # every four-state solve up to the cap certifies, so no inner
+        # warning turns the search into exit 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "rate", "--protocol", "qpsk",
+                                     "--estimator", "S", "--n", "316.23", "--eta", "0.9",
+                                     "--optimize", "--a-max", "16")
+        assert code == EXIT_OK
+        assert err == ""
+        header, rows = parse_csv(out)
+        assert 1.0 < float(dict(zip(header, rows[0]))["a_opt"]) <= 16.0
 
     def test_order_cap_at_or_below_one_is_named(self, capsys):
         for a_max in ("1.0", "0.5"):

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import pskrates.entropies as entropies
 from pskrates.entropies import (
     BpskClosedFormInputs,
+    ConvergenceWarning,
     _invariant_objective,
     bpsk_closed_forms,
     continuity_bound,
@@ -207,6 +210,47 @@ class TestSandwichedUpInvariant:
                        for z0 in (-3.0, 0.0, 3.0))
             tol = 1e-10 if a >= 1.001 else 1e-9
             assert abs(sandwiched_up_invariant(ensemble, a) - (1.0 - best)) <= tol
+
+    def test_four_state_newton_matches_reference(self):
+        # oracle 3 for N=4: Nelder-Mead from the log-odds of diag(rho_{E|0})
+        # and from uniform weights, then a restart from the better end point,
+        # on the eigvalsh trace functional scaled to bits. The Newton solve
+        # must certify every point without a warning.
+        rng = philox_rng(312)
+        for _ in range(200):
+            alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+            a = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(63.0))
+            ensemble = build_ensemble(ProtocolParams(4, alpha, eta))
+            rho0 = ensemble.cond_states[0]
+            objective = _invariant_objective(rho0, a)
+
+            def scaled(x):
+                z = np.concatenate(([0.0], np.clip(x, -60.0, 60.0)))
+                q = np.exp(z - z.max())
+                return math.log2(objective(q / q.sum())) / (a - 1.0)
+
+            p = np.clip(np.diag(rho0).real, 1e-30, None)
+            runs = [nelder_mead(scaled, initial_simplex(z0, 0.5), f_tol=1e-14, max_iter=2000)
+                    for z0 in (np.log(p[1:] / p[0]), np.zeros(3))]
+            top = min(runs, key=lambda res: res.fun)
+            polish = nelder_mead(scaled, initial_simplex(top.x, 0.01),
+                                 f_tol=1e-15, max_iter=2000)
+            best = min(top.fun, polish.fun)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = sandwiched_up_invariant(ensemble, a)
+            tol = 1e-10 if a >= 1.001 else 1e-9
+            assert abs(value - (2.0 - best)) <= tol
+
+    def test_uncertified_four_state_solve_names_order_gap_and_tolerance(
+            self, qpsk_ref, monkeypatch):
+        monkeypatch.setattr(entropies, "_NEWTON_MAX_ITER", 0)
+        with pytest.warns(ConvergenceWarning) as record:
+            value = sandwiched_up_invariant(qpsk_ref, 16.0)
+        message = str(record[0].message)
+        assert "a=16 did not certify" in message
+        assert "gap" in message and "tolerance 6.93e-13" in message
+        assert math.isfinite(value)
 
     def test_restricted_matches_full_bloch_search(self):
         # oracle 2: direct search over every 2x2 density matrix, against the

@@ -1,4 +1,8 @@
-"""Property sweep of the two-state optimized sandwiched entropy."""
+"""Property sweep of the optimized sandwiched entropy for BPSK and QPSK.
+
+Both orders a > 1 run on the fast solves: the golden-section search for
+N=2 and the certified Newton method for N=4.
+"""
 
 import math
 import warnings
@@ -17,11 +21,12 @@ st = hypothesis.strategies
 ORDERS = st.floats(-5.0, math.log10(63.0)).map(lambda t: 1.0 + 10.0**t)
 
 
+@pytest.mark.parametrize("n_states", [2, 4])
 @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
 @hypothesis.given(alpha=st.floats(0.0, 3.0), eta=st.floats(0.0, 1.0),
                   a=ORDERS, b=ORDERS)
-def test_two_state_sandwiched_up_properties(alpha, eta, a, b):
-    ensemble = build_ensemble(ProtocolParams(2, alpha, eta))
+def test_sandwiched_up_properties(n_states, alpha, eta, a, b):
+    ensemble = build_ensemble(ProtocolParams(n_states, alpha, eta))
     lo, hi = sorted((a, b))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
