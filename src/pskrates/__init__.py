@@ -8,11 +8,13 @@ and optimizes those over the modulation amplitude and the Rényi order.
 
 from .entropies import (
     BpskClosedFormInputs,
+    ContinuityTerms,
     ConvergenceWarning,
     EntropyReport,
     bpsk_closed_forms,
     continuity_bound,
     continuity_coeff,
+    continuity_terms,
     entropy_report,
     entropy_variance_cq,
     petz_down_cq,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,21 +49,6 @@ def _check_order(a: float) -> float:
     return a
 
 
-def _check_reduction(ensemble: CQEnsemble) -> None:
-    """Cheap necessary condition for the one-term symmetry reduction.
-
-    The reduced formulas use only rho_{E|0}; they are valid when all
-    conditional states are unitarily equivalent, so matching spectra are
-    required. Full reduced-vs-unreduced equality is checked by the oracle
-    suite.
-    """
-    ref = np.linalg.eigvalsh(ensemble.cond_states[0])
-    for rho in ensemble.cond_states[1:]:
-        if np.abs(np.linalg.eigvalsh(rho) - ref).max() > 1e-9:
-            raise ValueError("conditional states are not unitarily equivalent; "
-                             "the symmetry reduction does not apply")
-
-
 def _tr_power(matrix: np.ndarray, a: float, with_power: bool = False):
     """tr(M^a) for PSD Hermitian M on its support.
 
@@ -91,17 +77,23 @@ def _entropy_bits(matrix: np.ndarray) -> float:
     return float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0
 
 
+def _petz_down(n_states: int, rho0: linalg.Spectrum,
+               avg: linalg.Spectrum, a: float) -> float:
+    """log2 N + log2 tr(rho_{E|0}^a rho_E^(1-a)) / (1 - a) from the support spectra."""
+    a = _check_order(a)
+    t = np.trace(linalg.apply_on_support(rho0, lambda lam: lam**a)
+                 @ linalg.apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
+    return math.log2(n_states) + math.log2(t) / (1.0 - a)
+
+
 def petz_down_cq(ensemble: CQEnsemble, a: float) -> float:
     """Petz-Rényi conditional entropy of the ensemble, reduced form.
 
     log2 N + log2 tr(rho_{E|0}^a rho_E^(1-a)) / (1 - a), with powers
     restricted to the support.
     """
-    a = _check_order(a)
-    _check_reduction(ensemble)
-    t = np.trace(matrix_power(ensemble.cond_states[0], a)
-                 @ matrix_power(ensemble.avg_state, 1.0 - a)).real
-    return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
+    return _petz_down(ensemble.n_states, linalg.support_spectrum(ensemble.cond_states[0]),
+                      linalg.support_spectrum(ensemble.avg_state), a)
 
 
 def petz_up_cq(ensemble: CQEnsemble, a: float) -> float:
@@ -119,13 +111,16 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
     """Sandwiched Rényi conditional entropy, reduced form.
 
     log2 N + log2 tr[(rho_E^c rho_{E|0} rho_E^c)^a] / (1 - a) with
-    c = (1 - a) / (2a).
+    c = (1 - a) / (2a). rho_E is diagonal by construction, so its power is
+    taken entry by entry and only exactly zero weights lie off the support:
+    a relative cut would drop small weights that rho_{E|0} still occupies
+    and lift the value above log2 N.
     """
     a = _check_order(a)
-    _check_reduction(ensemble)
     c = (1.0 - a) / (2.0 * a)
-    x = matrix_power(ensemble.avg_state, c)
-    t = _tr_power(x @ ensemble.cond_states[0] @ x, a)
+    d = np.diag(ensemble.avg_state).real
+    x = np.where(d > 0.0, d, 1.0) ** c * (d > 0.0)
+    t = _tr_power(x[:, None] * ensemble.cond_states[0] * x[None, :], a)
     return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
 
 
@@ -523,18 +518,69 @@ def _continuity_order(a: float) -> float:
     return a
 
 
-def _coeff(ensemble: CQEnsemble, a: float, h: float, h_a: float) -> float:
-    """K(a) from the already evaluated H(Y|E) and Petz-Rényi H_a."""
-    h_2 = petz_down_cq(ensemble, 2.0)
-    scale = 2.0 ** ((a - 1.0) * (h - h_a)) / (6.0 * (2.0 - a) ** 3 * LN2)
-    return scale * math.log(2.0 ** (h - h_2) + math.e**2) ** 3
+@dataclass(frozen=True, eq=False)
+class ContinuityTerms:
+    """The amplitude-only terms of the continuity bound of one ensemble.
+
+    H(Y|E), V(Y|E) and the Petz-Rényi H_2 are fixed by the ensemble; only
+    H_a changes with the order, and it is a matrix-power step on the stored
+    support spectra of rho_{E|0} and rho_E, the same arithmetic as
+    ``petz_down_cq``. Holds no reference to the ensemble, so the memo in
+    ``continuity_terms`` never keeps one alive.
+    """
+
+    n_states: int
+    von_neumann: float
+    variance: float
+    petz_2: float
+    rho0: linalg.Spectrum
+    avg: linalg.Spectrum
+
+    def petz_down(self, a: float) -> float:
+        """Petz-Rényi H_a(Y|E), equal to ``petz_down_cq`` bit for bit."""
+        return _petz_down(self.n_states, self.rho0, self.avg, a)
+
+    def continuity(self, a: float) -> tuple[float, float]:
+        """(K(a), B_a) at an order a in (1, CONTINUITY_A_MAX]."""
+        a = _continuity_order(a)
+        h = self.von_neumann
+        scale = 2.0 ** ((a - 1.0) * (h - self.petz_down(a))) / (6.0 * (2.0 - a) ** 3 * LN2)
+        k = scale * math.log(2.0 ** (h - self.petz_2) + math.e**2) ** 3
+        return k, h - (a - 1.0) * LN2 / 2.0 * self.variance - (a - 1.0) ** 2 * k
 
 
-def _continuity(ensemble: CQEnsemble, a: float, h: float, h_a: float,
-                v: float) -> tuple[float, float]:
-    """(K(a), B_a) from the already evaluated H(Y|E), H_a and V(Y|E)."""
-    k = _coeff(ensemble, a, h, h_a)
-    return k, h - (a - 1.0) * LN2 / 2.0 * v - (a - 1.0) ** 2 * k
+#: The terms of the last ensemble asked for, keyed weakly by identity
+#: (``CQEnsemble`` is frozen, compares by identity and holds read-only
+#: arrays). One slot suffices: ``optimize_rate`` scans its grid one
+#: amplitude at a time and nearly every Nelder-Mead step brings a new one,
+#: so a slot per live ensemble saves about 3% of the solves and holds
+#: about 2 kB per amplitude for the whole search.
+_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def continuity_terms(ensemble: CQEnsemble) -> ContinuityTerms:
+    """The amplitude-only continuity terms, computed once per ensemble.
+
+    Repeated calls on one ensemble reuse them until another ensemble is
+    asked for or the ensemble is garbage collected.
+    """
+    terms = _TERMS.get(ensemble)
+    if terms is None:
+        rho0 = linalg.support_spectrum(ensemble.cond_states[0])
+        avg = linalg.support_spectrum(ensemble.avg_state)
+        for arr in (*rho0, *avg):
+            arr.setflags(write=False)
+        terms = ContinuityTerms(
+            n_states=ensemble.n_states,
+            von_neumann=von_neumann_cq(ensemble),
+            variance=entropy_variance_cq(ensemble),
+            petz_2=_petz_down(ensemble.n_states, rho0, avg, 2.0),
+            rho0=rho0,
+            avg=avg,
+        )
+        _TERMS.clear()
+        _TERMS[ensemble] = terms
+    return terms
 
 
 def continuity_coeff(ensemble: CQEnsemble, a: float) -> float:
@@ -544,8 +590,7 @@ def continuity_coeff(ensemble: CQEnsemble, a: float) -> float:
     where H_a and H_2 are Petz-Rényi entropies. Defined for a in (1, 2);
     the pole at a = 2 is excluded.
     """
-    a = _continuity_order(a)
-    return _coeff(ensemble, a, von_neumann_cq(ensemble), petz_down_cq(ensemble, a))
+    return continuity_terms(ensemble).continuity(a)[0]
 
 
 def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
@@ -553,9 +598,7 @@ def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
 
     H(Y|E) - (a-1) ln2/2 V(Y|E) - (a-1)^2 K(a), valid for a in (1, 2).
     """
-    a = _continuity_order(a)
-    return _continuity(ensemble, a, von_neumann_cq(ensemble), petz_down_cq(ensemble, a),
-                       entropy_variance_cq(ensemble))[1]
+    return continuity_terms(ensemble).continuity(a)[1]
 
 
 @dataclass(frozen=True)
@@ -574,19 +617,17 @@ class EntropyReport:
 
 def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
     """Evaluate every functional once; K and B are NaN outside (1, 2)."""
-    petz_down = petz_down_cq(ensemble, a)
-    h = von_neumann_cq(ensemble)
-    v = entropy_variance_cq(ensemble)
+    terms = continuity_terms(ensemble)
     k, b = math.nan, math.nan
     if 1.0 < a <= CONTINUITY_A_MAX:
-        k, b = _continuity(ensemble, float(a), h, petz_down, v)
+        k, b = terms.continuity(a)
     return EntropyReport(
-        petz_down=petz_down,
+        petz_down=terms.petz_down(a),
         petz_up=petz_up_cq(ensemble, a),
         sand_down=sandwiched_down_cq(ensemble, a),
         sand_up=sandwiched_up_invariant(ensemble, a),
-        von_neumann=h,
-        variance=v,
+        von_neumann=terms.von_neumann,
+        variance=terms.variance,
         coeff_k=k,
         bound_b=b,
     )

@@ -59,16 +59,27 @@ def eig(matrix) -> Spectrum:
     return Spectrum(w, v)
 
 
-def _apply_on_support(matrix, fn, support_cutoff: float) -> np.ndarray:
-    """U diag(fn(lam)) U^dag with fn applied only above the support cutoff."""
+def support_spectrum(matrix, support_cutoff: float = SUPPORT_CUTOFF) -> Spectrum:
+    """Spectrum of a PSD Hermitian matrix with its support marked.
+
+    Eigenvalues at or below ``support_cutoff * max(eigenvalue)`` are set to
+    exactly zero; the positive ones are the support. Rejects matrices with a
+    negative eigenvalue beyond ``HERMITICITY_TOL``.
+    """
     if support_cutoff <= 0:
         raise ValueError("support_cutoff must be positive")
     w, v = eig(matrix)
     top = float(w[-1]) if w.size else 0.0
     if w.size and float(w[0]) < -HERMITICITY_TOL * max(1.0, top):
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    thresh = support_cutoff * max(top, 0.0)
-    mask = w > thresh
+    w[w <= support_cutoff * max(top, 0.0)] = 0.0
+    return Spectrum(w, v)
+
+
+def apply_on_support(spectrum: Spectrum, fn) -> np.ndarray:
+    """U diag(fn(lam)) U^dag with fn applied only on the support (lam > 0)."""
+    w, v = spectrum
+    mask = w > 0.0
     fw = np.zeros_like(w)
     if mask.any():
         fw[mask] = fn(w[mask])
@@ -83,7 +94,7 @@ def matrix_power(matrix, p: float, support_cutoff: float = SUPPORT_CUTOFF) -> np
     """
     if not np.isfinite(p):
         raise ValueError("power must be finite")
-    return _apply_on_support(matrix, lambda lam: lam**p, support_cutoff)
+    return apply_on_support(support_spectrum(matrix, support_cutoff), lambda lam: lam**p)
 
 
 def matrix_log2(matrix, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
@@ -92,7 +103,7 @@ def matrix_log2(matrix, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     The off-support convention is safe because the result is only ever used
     inside traces against states living on that support.
     """
-    return _apply_on_support(matrix, np.log2, support_cutoff)
+    return apply_on_support(support_spectrum(matrix, support_cutoff), np.log2)
 
 
 def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -100,7 +100,9 @@ class CQEnsemble:
 
     ``cond_states[y]`` is Eve's state given Bob's symbol y, ``probs`` the
     (uniform) symbol distribution and ``avg_state`` their mixture, diagonal
-    in the stored basis. All arrays are read-only.
+    in the stored basis. All arrays are read-only. Construction rejects
+    conditional states with different spectra, on which the one-term
+    symmetry reduction of the entropies would be wrong.
     """
 
     params: ProtocolParams
@@ -120,11 +122,18 @@ class CQEnsemble:
         off = self.avg_state - np.diag(np.diag(self.avg_state))
         if np.abs(off).max() > 1e-12:
             raise ValueError("average state is not diagonal in the stored basis")
-        for rho in self.cond_states:
-            if abs(np.trace(rho).real - 1.0) > _ENSEMBLE_ATOL:
-                raise ValueError("conditional state trace differs from 1")
-            if np.linalg.eigvalsh(rho).min() < -_ENSEMBLE_ATOL:
-                raise ValueError("conditional state is not positive semidefinite")
+        states = np.array(self.cond_states)
+        if np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0).max() > _ENSEMBLE_ATOL:
+            raise ValueError("conditional state trace differs from 1")
+        spectra = np.linalg.eigvalsh(states)
+        if spectra.min() < -_ENSEMBLE_ATOL:
+            raise ValueError("conditional state is not positive semidefinite")
+        # The reduced entropy formulas use rho_{E|0} alone, which needs all
+        # conditional states unitarily equivalent: matching spectra are a
+        # cheap necessary condition. ``symmetry_group`` checks the rest.
+        if np.abs(spectra - spectra[0]).max() > 1e-9:
+            raise ValueError("conditional states are not unitarily equivalent; "
+                             "the symmetry reduction does not apply")
 
     @property
     def n_states(self) -> int:

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 import pskrates.entropies as entropies
 from pskrates.entropies import (
     BpskClosedFormInputs,
+    CONTINUITY_A_MAX,
     ConvergenceWarning,
     _invariant_objective,
     bpsk_closed_forms,
     continuity_bound,
     continuity_coeff,
+    continuity_terms,
     entropy_report,
     entropy_variance_cq,
     petz_down_cq,
@@ -92,6 +96,15 @@ class TestCqEntropies:
             with pytest.raises(ValueError):
                 petz_down_cq(bpsk_ref, bad)
 
+    @pytest.mark.parametrize("alpha, eta, a", [(1e-6, 0.0, 1.001), (2.0, 0.99999, 1.00001)])
+    def test_sandwiched_down_near_degenerate_qpsk(self, alpha, eta, a):
+        # rho_E has weights far below the relative support cut here; cutting
+        # them lifted sand_down above log2 N and above the optimized value
+        ensemble = build_ensemble(ProtocolParams(4, alpha, eta))
+        sand_down = sandwiched_down_cq(ensemble, a)
+        assert sand_down <= 2.0 + 1e-12
+        assert sand_down <= sandwiched_up_invariant(ensemble, a) + 1e-12
+
     def test_von_neumann_interior_minimum_bpsk(self):
         etas = np.linspace(0.3, 0.9, 61)
         values = [von_neumann_cq(build_ensemble(ProtocolParams(2, 1.0, float(e))))
@@ -144,6 +157,51 @@ class TestContinuityBound:
                     - (a - 1.0) * math.log(2.0) / 2.0 * entropy_variance_cq(ensemble)
                     - (a - 1.0) ** 2 * continuity_coeff(ensemble, a))
         assert abs(continuity_bound(ensemble, a) - expected) <= 1e-12
+
+    def test_cached_terms_equal_the_direct_formula(self):
+        # the memoized amplitude-only terms change no bit of the bound
+        rng = philox_rng(306)
+        for i in range(200):
+            params = random_protocol(rng, (2, 4)[i % 2], alpha_range=(0.05, 3.0))
+            orders = (1.0 + math.exp(rng.uniform(math.log(1e-9), math.log(1.0 - 1e-6))),
+                      CONTINUITY_A_MAX)
+            ensemble = build_ensemble(params)
+            h, v = von_neumann_cq(ensemble), entropy_variance_cq(ensemble)
+            h_2 = petz_down_cq(ensemble, 2.0)
+            for a in orders:
+                k = (2.0 ** ((a - 1.0) * (h - petz_down_cq(ensemble, a)))
+                     / (6.0 * (2.0 - a) ** 3 * math.log(2.0))
+                     * math.log(2.0 ** (h - h_2) + math.e**2) ** 3)
+                expected = h - (a - 1.0) * math.log(2.0) / 2.0 * v - (a - 1.0) ** 2 * k
+                assert continuity_coeff(ensemble, a) == k
+                assert continuity_bound(ensemble, a) == expected
+
+    def test_second_order_needs_no_eigensolve(self, monkeypatch):
+        ensemble = build_ensemble(ProtocolParams(4, 1.1, 0.8))
+        continuity_bound(ensemble, 1.3)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        continuity_bound(ensemble, 1.7)
+        continuity_coeff(ensemble, 1.05)
+        assert calls == []
+        build_ensemble(ProtocolParams(4, 1.1, 0.8))
+        assert calls  # the counter sees eigensolves
+
+    def test_terms_are_held_once_and_released_with_the_ensemble(self):
+        first = build_ensemble(ProtocolParams(2, 0.7, 0.5))
+        ensemble = build_ensemble(ProtocolParams(4, 0.7, 0.5))
+        continuity_terms(first)
+        continuity_terms(ensemble)
+        assert len(entropies._TERMS) == 1
+        ref = weakref.ref(ensemble)
+        del ensemble
+        gc.collect()
+        assert ref() is None
+        assert len(entropies._TERMS) == 0
 
     def test_below_von_neumann_and_below_log_n_at_boundary(self):
         for n_states in (2, 4):

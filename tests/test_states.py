@@ -202,6 +202,15 @@ class TestSymmetryGroup:
                         target = ensemble.cond_states[(y + t) % n_states]
                         assert np.abs(mapped - target).max() <= 1e-10
 
+    def test_unequal_spectra_are_rejected(self):
+        # averages correctly, but the states are not unitarily equivalent
+        params = ProtocolParams(2, 1.0, 0.5)
+        states = (np.diag([0.9, 0.1]).astype(complex), np.diag([0.5, 0.5]).astype(complex))
+        with pytest.raises(ValueError, match="unitarily equivalent"):
+            CQEnsemble(params=params, probs=np.full(2, 0.5), cond_states=states,
+                       avg_state=np.diag([0.7, 0.3]).astype(complex),
+                       basis_tag="psi_pm", gamma=params.gamma)
+
     def test_symmetry_violation_is_signaled(self):
         # diagonal states that average correctly but are not phase-related
         params = ProtocolParams(4, 1.0, 0.5)
