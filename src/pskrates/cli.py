@@ -31,7 +31,7 @@ EXIT_VERIFY = 2
 EXIT_NONCONVERGED = 3
 
 
-class _ParameterError(Exception):
+class _ParameterError(ValueError):
     pass
 
 
@@ -328,7 +328,8 @@ def build_parser() -> _Parser:
                        help="entropy functionals at one parameter point, in bits")
     _add_protocol_flags(p)
     p.add_argument("--order", "--a", dest="order", type=float, default=1.2,
-                   help="Renyi order a > 0, a != 1 (default 1.2)")
+                   help="Renyi order a > 0, a != 1 (default 1.2); sand_up needs "
+                        "a >= 1/2 and is nan below")
     p.add_argument("--path", choices=("numeric", "analytic", "both"),
                    default="numeric",
                    help="evaluation path; analytic is bpsk-only closed forms")
@@ -405,9 +406,6 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", entropies.ConvergenceWarning)
             return _COMMANDS[args.command](args)
-    except _ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

@@ -7,9 +7,10 @@ protocol: the numeric path below, working on the stored ensemble matrices,
 and hyperbolic closed forms (``bpsk_closed_forms``) derived from the same
 states. They agree to ~1e-12 and cross-validate each other.
 
-Rényi orders: the ``*_cq`` functions accept any a > 0, a != 1. The rate
-estimators impose their own narrower ranges (a > 1, or a in (1, 2) for the
-continuity bound).
+Rényi orders: the ``*_cq`` functions accept any a > 0, a != 1, and the
+optimized sandwiched entropies any a >= 1/2, a != 1. The rate estimators
+impose their own narrower ranges (a > 1, or a in (1, 2) for the continuity
+bound).
 """
 
 from __future__ import annotations
@@ -131,17 +132,19 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 # diagonal phases in the stored basis, so the invariant set is exactly the
 # diagonal states q: a 1-simplex for N=2 and a 3-simplex for N=4. With
 # M = D rho_{E|0} D, D = diag(q)^c and c = (1-a)/2a, the trace
-# T(q) = tr(M^a) is minimized for a > 1 and maximized for a < 1. For a > 1
-# it is convex in q (Frank-Lieb 2013). Three paths solve for q, all in the
-# log-odds z_i = log(q_i/q_0), clipped to [-60, 60]:
+# T(q) = tr(M^a) is minimized for a > 1 and maximized for a < 1. It is
+# convex in q for a > 1 and concave for 1/2 <= a < 1 (Frank-Lieb 2013);
+# below 1/2 it is neither, and those orders are refused. Two paths solve
+# for q, both in the log-odds z_i = log(q_i/q_0), clipped to [-60, 60]:
 #
 # * N=2, a > 1: the 2x2 spectrum has a closed form, evaluated in the log
 #   domain so that orders up to 64 neither overflow nor underflow. Convexity
 #   makes log T unimodal in z, and a golden-section search finds the
 #   minimum to |dz| <= 1e-11 without warnings.
 #
-# * N=4, a > 1: a damped Newton method that stops on a certificate. Each
-#   iterate costs one eigh of M, scaled by its largest eigenvalue so that
+# * Every other case: a damped Newton method that minimizes s log T,
+#   s = sign(a - 1), and stops on a certificate. Each iterate costs one
+#   eigh of M, scaled by its largest eigenvalue so that
 #   log T = a log(lam_max) + log tr(M'^a) with M' = M / lam_max. With
 #   u_i = c log q_i and w_i = (M^a)_ii / T:
 #   - gradient: d log T / du = 2a w, so d log T / dz_i = (1-a)(w_i - q_i);
@@ -150,33 +153,33 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #     differences of x^a. Since log T(u + s) = log T(u) + 2a s, the
 #     u-Hessian H_u of log T annihilates the all-ones vector, and the
 #     log-odds Hessian is c^2 H_u + (a-1)(diag q - q q^T), both restricted
-#     to i, j >= 1;
+#     to i, j >= 1. Its eigenvalues enter the step by absolute value, as
+#     log T need not be convex in z;
 #   - certificate: the Frank-Wolfe gap of T at q is
-#     (a-1) T (max_i r_i - 1), r_i = w_i / q_i, and bounds T - T*. So
+#     |a-1| T (max_i r_i - 1), r_i = w_i / q_i, and bounds |T - T*|. So
 #     max_i r_i - 1 <= e ln 2 bounds the entropy error by e bits; the solve
 #     certifies e = _CERTIFY_BITS.
 #   The computed r_i carries a rounding floor. eigh (Householder
 #   tridiagonalization, then QR) returns the exact decomposition of M' + E
-#   with |E|_F <= N^2 u |M'| (u the unit roundoff, |M'| = 1); the divided
-#   differences of x^a on [0, 1] are at most a, so (M'^a)_ii moves by at
-#   most a N^2 u, and tr(M'^a) >= 1. Hence
-#   |dr_i| <= a N^2 u (1 / (q_i tr M'^a) + r_i) =: floor_i, which matters
+#   with |E|_F <= N^2 u |M'| (u the unit roundoff, |M'| = 1). The divided
+#   differences of x^a on the kept spectrum, [x_min, 1], are at most L = a
+#   for a > 1 and L = a x_min^(a-1) for a < 1, where x^a is not Lipschitz
+#   at 0 and its slope grows toward the smallest kept eigenvalue x_min. So
+#   (M'^a)_ii moves by at most L N^2 u, and tr(M'^a) >= 1. Hence
+#   |dr_i| <= L N^2 u (1 / (q_i tr M'^a) + r_i) =: floor_i, which matters
 #   for tiny q_i. The stopping test subtracts floor_i from each r_i - 1, and
 #   a weight whose |r_i - 1| is within floor_i carries no usable gradient,
-#   so the Newton step leaves it fixed. Steps are backtracked until log T
+#   so the Newton step leaves it fixed. Steps are backtracked until s log T
 #   falls by the Armijo amount, or until it stays within twice its own
 #   rounding and the gap falls: near the optimum (or near a = 1) the
 #   change in log T drops below its rounding, and the gap is then the
 #   merit function. A solve that does not certify warns with the order,
 #   the gap and the tolerance.
 #
-# * a < 1, either N: the stationarity condition q proportional to
-#   diag(M^a) drives a damped fixed-point presolve. A Nelder-Mead polish in
-#   log-odds coordinates verifies it; if either disagrees or fails to
-#   converge, a five-seed global Nelder-Mead restart takes over. Neither
-#   fast path is used here: near-pure rho_{E|0} and a near 1/2 make the
-#   support cut a discontinuity of the objective, and the supremum can lie
-#   inside the cut.
+#   The start for a > 1, q_i proportional to rho_ii^(a/(2a-1)), is the
+#   optimum for pure rho_{E|0} and as a -> 1. Its exponent diverges as
+#   a -> 1/2, and started there the solve can stall on stationary points
+#   that the support cut creates, so a < 1 starts from diag(rho_E) instead.
 # ---------------------------------------------------------------------------
 
 #: Log-odds search interval and tolerance of the two-state golden search.
@@ -238,11 +241,13 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
-    """f1(x_m, x_n) of f(x) = x^a for x in [0, 1], a > 1.
+    """f1(x_m, x_n) of f(x) = x^a for x in [0, 1], a > 0.
 
     With y the larger argument and r the ratio of the smaller to it, this is
     y^(a-1) expm1(a ln r) / expm1(ln r): exact for nearly equal arguments,
-    a y^(a-1) at r = 1, y^(a-1) at r = 0, and f'(0) = 0 at x_m = x_n = 0.
+    a y^(a-1) at r = 1 and y^(a-1) at r = 0. At x_m = x_n = 0 it is set to
+    0, which is f'(0) for a > 1; for a < 1 f'(0) is infinite, but the
+    Hessian multiplies this entry by x_m + x_n = 0.
     """
     hi = np.maximum(x[:, None], x[None, :])
     lo = np.minimum(x[:, None], x[None, :])
@@ -272,12 +277,12 @@ class _Iterate(NamedTuple):
 
 
 def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
-    """Certified min_q log tr[(D rho0 D)^a] for a > 1 (see the comment above).
+    """Certified opt_q log tr[(D rho0 D)^a], a >= 1/2 (see the comment above).
 
-    A zero row of rho0 adds nothing to M, so its weight is set to zero. The
-    largest diagonal entry is the reference weight q_0. The start q_i
-    proportional to rho0_ii^(a/(2a-1)) is the optimum for pure rho0 and as
-    a -> 1.
+    The optimum is the minimum for a > 1 and the maximum for a < 1. A zero
+    row of rho0 adds nothing to M, so its weight is set to zero. The largest
+    diagonal entry is the reference weight q_0. For a < 1 the start is
+    diag(rho0), which equals diag(rho_E) since every U_t is diagonal.
     """
     p = np.diag(rho0).real
     support = np.flatnonzero(p > 0.0)
@@ -285,8 +290,8 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
     rho = rho0[np.ix_(support, support)]
     n = rho0.shape[0]
     c = (1.0 - a) / (2.0 * a)
+    sense = 1.0 if a > 1.0 else -1.0
     tol = _CERTIFY_BITS * LN2
-    eps = a * n * n * _UNIT_ROUNDOFF
 
     def evaluate(z: np.ndarray) -> _Iterate:
         z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
@@ -302,6 +307,8 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
         t = float(xa.sum())
         w = (v.real**2 + v.imag**2) @ xa / t
         ratio = w / q
+        lipschitz = a if a > 1.0 else a * float(x[x > 0.0].min()) ** (a - 1.0)
+        eps = lipschitz * n * n * _UNIT_ROUNDOFF
         log_scale, log_t = math.log(lam[-1]), math.log(t)
         return _Iterate(z, q, x, v, w, t, a * log_scale + log_t,
                         _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps,
@@ -315,15 +322,15 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
         g_u = 2.0 * a * it.w
         h_u = 2.0 * a * h_t / it.t - np.outer(g_u, g_u)
         qf = it.q[1:]
-        h_z = c * c * h_u[1:, 1:] + (a - 1.0) * (np.diag(qf) - np.outer(qf, qf))
-        grad = (1.0 - a) * (it.w - it.q)[1:][free]
+        h_z = sense * (c * c * h_u[1:, 1:] + (a - 1.0) * (np.diag(qf) - np.outer(qf, qf)))
+        grad = sense * (1.0 - a) * (it.w - it.q)[1:][free]
         mu, vec = np.linalg.eigh(h_z[np.ix_(free, free)])
         mu = np.maximum(np.abs(mu), 1e-12 * np.abs(mu).max())
         step = np.zeros(k - 1)
         step[free] = -vec @ ((vec.T @ grad) / mu)
         return float(grad @ step[free]), step
 
-    log_q0 = a / (2.0 * a - 1.0) * np.log(p[support])
+    log_q0 = (a / (2.0 * a - 1.0) if a > 1.0 else 1.0) * np.log(p[support])
     it = evaluate(log_q0[1:] - log_q0[0])
     for _ in range(_NEWTON_MAX_ITER):
         # a weight whose residual is within its rounding floor stays put
@@ -334,8 +341,9 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
         tau = 1.0
         while tau >= 1e-10:
             cand = evaluate(it.z + tau * step)
-            if cand.log_t <= it.log_t + 1e-4 * tau * slope or (
-                    cand.log_t <= it.log_t + 2.0 * it.noise and cand.gap < it.gap):
+            merit, last = sense * cand.log_t, sense * it.log_t
+            if merit <= last + 1e-4 * tau * slope or (
+                    merit <= last + 2.0 * it.noise and cand.gap < it.gap):
                 break
             tau *= 0.5
         else:  # no acceptable step: stop and report the gap
@@ -360,51 +368,11 @@ def _invariant_objective(rho0: np.ndarray, a: float):
     return fn
 
 
-def _invariant_fixed_point(rho0, q0, a, value_tol=1e-13, max_iter=300):
-    """Damped ascent q <- normalize(diag(M^a)) for a < 1; returns (q, value, ok)."""
-    c = (1.0 - a) / (2.0 * a)
-
-    def evaluate(q):
-        d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
-        value, v, wa = _tr_power(d[:, None] * rho0 * d[None, :], a, with_power=True)
-        return value, np.clip(np.einsum("ij,j,ij->i", v, wa, v.conj()).real, 0.0, None)
-
-    q = np.clip(np.asarray(q0, dtype=float), 0.0, None)
-    q = q / q.sum()
-    value, fp = evaluate(q)
-    for _ in range(max_iter):
-        tau = 1.0
-        q_next, v_next, fp_next = q, value, fp
-        for _ in range(12):
-            total = fp.sum()
-            if total <= 0.0:
-                break
-            cand = q ** (1.0 - tau) * (fp / total) ** tau
-            norm = cand.sum()
-            if norm <= 0.0 or not np.isfinite(norm):
-                tau *= 0.5
-                continue
-            cand /= norm
-            v_cand, fp_cand = evaluate(cand)
-            if value - v_cand <= 1e-18:
-                q_next, v_next, fp_next = cand, v_cand, fp_cand
-                break
-            tau *= 0.5
-        if abs(v_next - value) < value_tol * max(1.0, abs(value)):
-            return q_next, v_next, True
-        q, value, fp = q_next, v_next, fp_next
-    return q, value, False
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def _logodds(q: np.ndarray) -> np.ndarray:
-    safe = np.clip(q, 1e-30, None)
-    return np.log(safe[1:] / safe[0])
+def _check_sandwiched_up_order(a: float) -> float:
+    a = _check_order(a)
+    if a < 0.5:
+        raise ValueError(f"optimized sandwiched entropy needs a >= 1/2, got {a}")
+    return a
 
 
 def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
@@ -416,71 +384,30 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     sandwiched entropy over all states: rho_YE is invariant under every
     P_t x U_t and the sandwiched divergence is jointly quasi-convex there
     (Frank-Lieb 2013; Tomamichel 2016, arXiv:1504.00233), so twirling a
-    conditioning state never lowers the entropy.
+    conditioning state never lowers the entropy. Orders below 1/2 lack that
+    argument and the concavity the solve needs, and raise ValueError.
 
-    The solve runs in the log-odds z_i = log(q_i / q_0) on one of three
-    paths (details in the comment above ``_LOGODDS_CLIP``):
+    The solve runs in the log-odds z_i = log(q_i / q_0) on one of two paths
+    (details in the comment above ``_LOGODDS_CLIP``):
 
     * N=2, a > 1: a log-domain golden-section search over the closed-form
       2x2 spectrum; deterministic, never warns.
-    * N=4, a > 1: damped Newton with the exact (Daleckii-Krein) Hessian. It
+    * otherwise: damped Newton with the exact (Daleckii-Krein) Hessian. It
       stops once the Frank-Wolfe gap certifies the value to 1e-12 bits:
       max_i (M^a)_ii / (q_i tr M^a) - 1 <= 1e-12 ln 2, up to the rounding
       floor of that ratio. If it cannot certify, a ConvergenceWarning gives
-      the order, the gap reached and the tolerance.
-    * a < 1: a damped fixed point, a Nelder-Mead polish and a five-seed
-      restart; non-convergence raises a ConvergenceWarning.
-
-    A warning never hides the value: the best one found is returned.
+      the order, the gap reached and the tolerance, and the best value found
+      is returned.
     """
-    a = _check_order(a)
+    a = _check_sandwiched_up_order(a)
     rho0 = ensemble.cond_states[0]
     n = ensemble.n_states
-    if a > 1.0:
-        if n == 2:
-            log_t = _golden_min(_two_state_log_trace(rho0, a),
-                                -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
-        else:
-            log_t = _newton_log_trace(rho0, a)
-        return math.log2(n) + log_t / (LN2 * (1.0 - a))
-    objective = _invariant_objective(rho0, a)
-
-    def negated(z):  # the trace is maximized for a < 1
-        return -objective(_softmax(np.concatenate(([0.0], np.atleast_1d(z)))))
-
-    q_avg = np.clip(np.diag(ensemble.avg_state).real, 0.0, None)
-    q_avg = q_avg / q_avg.sum()
-
-    q_fp, value_fp, fp_ok = _invariant_fixed_point(rho0, q_avg, a)
-    polish = nelder_mead(
-        negated,
-        initial_simplex(_logodds(q_fp), 0.05),
-        f_tol=1e-13,
-        max_iter=80 * (n - 1),
-    )
-    best = min(-value_fp, polish.fun)
-    converged = fp_ok and polish.converged
-
-    improved = -value_fp - polish.fun > 1e-10 * max(1.0, abs(best))
-    if not fp_ok or improved:
-        converged = True
-        dim = n - 1
-        seeds = [
-            _logodds(q_avg),
-            np.zeros(dim),
-            np.full(dim, 2.0),
-            np.full(dim, -2.0),
-            np.array([2.0 * (-1.0) ** i for i in range(dim)]),
-        ]
-        for seed in seeds:
-            res = nelder_mead(negated, initial_simplex(seed, 0.8),
-                              f_tol=1e-13, max_iter=200 * dim + 100)
-            best = min(best, res.fun)
-            converged = converged and res.converged
-    if not converged:
-        warnings.warn("invariant-state optimization did not reach tolerance; "
-                      "returning best value found", ConvergenceWarning, stacklevel=2)
-    return math.log2(n) + math.log2(-best) / (1.0 - a)
+    if n == 2 and a > 1.0:
+        log_t = _golden_min(_two_state_log_trace(rho0, a),
+                            -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
+    else:
+        log_t = _newton_log_trace(rho0, a)
+    return math.log2(n) + log_t / (LN2 * (1.0 - a))
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:
@@ -616,7 +543,11 @@ class EntropyReport:
 
 
 def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
-    """Evaluate every functional once; K and B are NaN outside (1, 2)."""
+    """Evaluate every functional once.
+
+    K and B are NaN outside (1, 2), and the optimized sandwiched entropy is
+    NaN below a = 1/2.
+    """
     terms = continuity_terms(ensemble)
     k, b = math.nan, math.nan
     if 1.0 < a <= CONTINUITY_A_MAX:
@@ -625,7 +556,7 @@ def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
         petz_down=terms.petz_down(a),
         petz_up=petz_up_cq(ensemble, a),
         sand_down=sandwiched_down_cq(ensemble, a),
-        sand_up=sandwiched_up_invariant(ensemble, a),
+        sand_up=sandwiched_up_invariant(ensemble, a) if a >= 0.5 else math.nan,
         von_neumann=terms.von_neumann,
         variance=terms.variance,
         coeff_k=k,
@@ -773,13 +704,12 @@ def sandwiched_down_general(rho, dims: tuple[int, int], a: float) -> float:
     return math.log2(_tr_power(x @ rho @ x, a)) / (1.0 - a)
 
 
-def sandwiched_up_general(
-    rho,
-    dims: tuple[int, int],
-    a: float,
-    value_tol: float = 1e-11,
-    max_iter: int = 500,
-) -> float:
+#: Relative value change that ends the marginal fixed point, and its step cap.
+_GENERAL_VALUE_TOL = 1e-11
+_GENERAL_MAX_ITER = 500
+
+
+def sandwiched_up_general(rho, dims: tuple[int, int], a: float) -> float:
     """Optimized sandwiched Rényi conditional entropy over all marginals.
 
     Runs the fixed-point iteration sigma <- tr_A[(sigma^c rho sigma^c)^a]
@@ -787,9 +717,7 @@ def sandwiched_up_general(
     the optimizer; falls back to a direct parameterized search if the
     iteration fails to settle. Supported for a >= 1/2, a != 1.
     """
-    a = _check_order(a)
-    if a < 0.5:
-        raise ValueError(f"optimized sandwiched entropy needs a >= 1/2, got {a}")
+    a = _check_sandwiched_up_order(a)
     rho = np.asarray(rho, dtype=complex)
     dim_a, dim_b = dims
     c = (1.0 - a) / (2.0 * a)
@@ -807,7 +735,7 @@ def sandwiched_up_general(
     sigma = 0.5 * (sigma + sigma.conj().T)
     value, proposal = evaluate(sigma)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_GENERAL_MAX_ITER):
         tau = 1.0
         accepted = None
         stalled_gap = None
@@ -830,10 +758,10 @@ def sandwiched_up_general(
             # every damped step was worse; a sub-tolerance gap means the
             # iteration is jittering at its stationary point
             converged = (stalled_gap is not None
-                         and stalled_gap < value_tol * max(1.0, abs(value)))
+                         and stalled_gap < _GENERAL_VALUE_TOL * max(1.0, abs(value)))
             break
         sigma, new_value, proposal = accepted
-        if abs(new_value - value) < value_tol * max(1.0, abs(new_value)):
+        if abs(new_value - value) < _GENERAL_VALUE_TOL * max(1.0, abs(new_value)):
             value = new_value
             converged = True
             break

@@ -88,6 +88,15 @@ class TestEntropies:
             assert float(row[column]) == pytest.approx(2.0, abs=1e-8)
         assert float(row["B"]) < 2.0
 
+    def test_order_below_half_leaves_sand_up_nan(self, capsys):
+        code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
+                                 "--alpha", "1", "--eta", "0.6", "--order", "0.3")
+        assert code == EXIT_OK and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["sand_up"] == "nan" and row["B"] == "nan"
+        assert math.isfinite(float(row["sand_down"]))
+
     def test_analytic_rejected_for_qpsk(self, capsys):
         code, _, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
                                "--alpha", "1", "--eta", "0.5",

@@ -300,13 +300,68 @@ class TestSandwichedUpInvariant:
             tol = 1e-10 if a >= 1.001 else 1e-9
             assert abs(value - (2.0 - best)) <= tol
 
+    def test_newton_below_one_matches_reference(self):
+        # oracle 3 below a = 1, where the trace is maximized: Nelder-Mead
+        # from the log-odds of diag(rho_E) and from uniform weights, then a
+        # restart from the better end point, on the eigvalsh trace
+        # functional scaled to bits. The Newton solve must certify every
+        # point without a warning.
+        rng = philox_rng(313)
+        for _ in range(200):
+            n_states = int(rng.choice([2, 4]))
+            alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+            a = rng.uniform(0.5, 1.0 - 1e-5)
+            ensemble = build_ensemble(ProtocolParams(n_states, alpha, eta))
+            objective = _invariant_objective(ensemble.cond_states[0], a)
+
+            def scaled(x):
+                z = np.concatenate(([0.0], np.clip(x, -60.0, 60.0)))
+                q = np.exp(z - z.max())
+                return -math.log2(objective(q / q.sum())) / (1.0 - a)
+
+            p = np.clip(np.diag(ensemble.avg_state).real, 1e-30, None)
+            dim = n_states - 1
+            runs = [nelder_mead(scaled, initial_simplex(z0, 0.5), f_tol=1e-14, max_iter=2000)
+                    for z0 in (np.log(p[1:] / p[0]), np.zeros(dim))]
+            top = min(runs, key=lambda res: res.fun)
+            polish = nelder_mead(scaled, initial_simplex(top.x, 0.01),
+                                 f_tol=1e-15, max_iter=2000)
+            best = min(top.fun, polish.fun)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = sandwiched_up_invariant(ensemble, a)
+            assert abs(value - (math.log2(n_states) - best)) <= 1e-10
+
+    def test_near_pure_below_one_certifies_or_names_the_gap(self):
+        # near-pure rho_{E|0} and a near 1/2: the support cut can put the
+        # supremum on a discontinuity, where no certificate exists. Each
+        # solve must then warn with the order, the gap and the tolerance,
+        # and its value must still lie between sand_down and log2 N.
+        rng = philox_rng(314)
+        for _ in range(200):
+            n_states = int(rng.choice([2, 4]))
+            alpha = rng.uniform(0.0, 3.0)
+            eta = 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
+            a = 0.5 + 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+            ensemble = build_ensemble(ProtocolParams(n_states, alpha, eta))
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                value = sandwiched_up_invariant(ensemble, a)
+            for warning in record:
+                message = str(warning.message)
+                assert warning.category is ConvergenceWarning
+                assert f"a={a:.6g} did not certify" in message
+                assert "gap" in message and "tolerance 6.93e-13" in message
+            assert sandwiched_down_cq(ensemble, a) - 1e-12 <= value <= math.log2(n_states) + 1e-12
+
+    @pytest.mark.parametrize("a", [16.0, 0.7])
     def test_uncertified_four_state_solve_names_order_gap_and_tolerance(
-            self, qpsk_ref, monkeypatch):
+            self, qpsk_ref, monkeypatch, a):
         monkeypatch.setattr(entropies, "_NEWTON_MAX_ITER", 0)
         with pytest.warns(ConvergenceWarning) as record:
-            value = sandwiched_up_invariant(qpsk_ref, 16.0)
+            value = sandwiched_up_invariant(qpsk_ref, a)
         message = str(record[0].message)
-        assert "a=16 did not certify" in message
+        assert f"a={a:g} did not certify" in message
         assert "gap" in message and "tolerance 6.93e-13" in message
         assert math.isfinite(value)
 
@@ -350,6 +405,15 @@ class TestSandwichedUpInvariant:
             for a in (1.2, 2.0, 3.0):
                 general = sandwiched_up_general(rho, (4, 4), a)
                 assert abs(general - sandwiched_up_invariant(ensemble, a)) <= 1e-8
+
+    def test_orders_below_half_are_refused(self, bpsk_ref, qpsk_ref):
+        # the trace is not concave there and invariant states need not be
+        # optimal; entropy_report leaves the value NaN instead
+        for ensemble in (bpsk_ref, qpsk_ref):
+            with pytest.raises(ValueError, match="1/2"):
+                sandwiched_up_invariant(ensemble, 0.3)
+            assert math.isnan(entropy_report(ensemble, 0.3).sand_up)
+            assert math.isfinite(entropy_report(ensemble, 0.5).sand_up)
 
     def test_min_entropy_limit_matches_guessing_probability(self):
         # as the order grows the value approaches -log2 of Eve's optimal

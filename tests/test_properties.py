@@ -1,7 +1,8 @@
 """Property sweep of the optimized sandwiched entropy for BPSK and QPSK.
 
-Both orders a > 1 run on the fast solves: the golden-section search for
-N=2 and the certified Newton method for N=4.
+Orders run over [1/2, 1) and (1, 64], so the pair may straddle a = 1. Above
+1 they exercise the golden-section search for N=2 and the certified Newton
+method for N=4; below 1 the Newton method for both.
 """
 
 import math
@@ -15,10 +16,12 @@ from pskrates.states import ProtocolParams, build_ensemble
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-# Orders in (1, 64] with a - 1 log-uniform from 1e-5, the floor of the S
-# order grid. Closer to 1 every sandwiched value carries a rounding error of
-# about 1e-16 / (a - 1) bits from log2(T) / (1 - a).
-ORDERS = st.floats(-5.0, math.log10(63.0)).map(lambda t: 1.0 + 10.0**t)
+# Orders in [1/2, 1 - 1e-5] and [1 + 1e-5, 64] with |a - 1| log-uniform
+# from 1e-5, the floor of the S order grid. Closer to 1 every sandwiched
+# value carries a rounding error of about 1e-16 / |a - 1| bits from
+# log2(T) / (1 - a). Below 1/2 the optimized entropy is not defined here.
+ORDERS = st.one_of(st.floats(-5.0, math.log10(0.5)).map(lambda t: 1.0 - 10.0**t),
+                   st.floats(-5.0, math.log10(63.0)).map(lambda t: 1.0 + 10.0**t))
 
 
 @pytest.mark.parametrize("n_states", [2, 4])
