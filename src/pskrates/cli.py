@@ -12,6 +12,8 @@ size (default 1; rows are emitted in input order either way).
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import math
 import os
 import sys
@@ -111,7 +113,7 @@ def _cmd_probs(args) -> int:
     table = cond_prob_table(_protocol_params(args))
     n = table.shape[0]
     rows = [[y, x, table[y, x]] for y in range(n) for x in range(n)]
-    _emit(sys.stdout, _invocation(args), ["y", "x", "p"], rows)
+    _emit(sys.stdout, args._invocation, ["y", "x", "p"], rows)
     return EXIT_OK
 
 
@@ -119,7 +121,7 @@ def _cmd_entropies(args) -> int:
     params = _protocol_params(args)
     header = _entropy_header(args)
     row = _entropy_row(params, args.order, args.path)
-    _emit(sys.stdout, _invocation(args), header, [row])
+    _emit(sys.stdout, args._invocation, header, [row])
     return EXIT_OK
 
 
@@ -161,7 +163,7 @@ def _rate_rows(args) -> tuple[list, bool]:
 
 def _cmd_rate(args) -> int:
     rows, converged = _rate_rows(args)
-    _emit(sys.stdout, _invocation(args), _RATE_HEADER, rows)
+    _emit(sys.stdout, args._invocation, _RATE_HEADER, rows)
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
@@ -177,12 +179,11 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.from_, args.to, args.points)
 
 
-def _sweep_point(payload):
+def _sweep_point(args, value: float):
     """Evaluate one sweep grid point; module-level for process pools."""
-    kind, value, vars_dict = payload
-    args = argparse.Namespace(**vars_dict)
+    args = copy.copy(args)
     setattr(args, args.variable if args.variable != "a" else "order", value)
-    if kind == "entropies":
+    if args.quantity == "entropies":
         return [_entropy_row(_protocol_params(args), args.order, args.path)], True
     return _rate_rows(args)
 
@@ -203,25 +204,30 @@ def _cmd_sweep(args) -> int:
         if not args.optimize and args.alpha is None and args.variable != "alpha":
             raise _ParameterError("rate sweeps need --alpha or --optimize")
 
-    payloads = [(args.quantity, float(v), vars(args)) for v in grid]
+    point = functools.partial(_sweep_point, args)
     workers = int(os.environ.get("PSKRATES_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(point, grid.tolist()))
     else:
-        results = [_sweep_point(p) for p in payloads]
+        results = [point(v) for v in grid.tolist()]
 
     rows = [row for chunk, _ in results for row in chunk]
     converged = all(ok for _, ok in results)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
-            _emit(fh, _invocation(args), header, rows)
+            _emit(fh, args._invocation, header, rows)
     else:
-        _emit(sys.stdout, _invocation(args), header, rows)
+        _emit(sys.stdout, args._invocation, header, rows)
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 def _cmd_verify(args) -> int:
+    # checked before any suite prints, so that no check passes vacuously
+    if args.duality_states < 2:
+        raise _ParameterError("--duality-states must be >= 2")
+    if args.analytic_grid < 1:
+        raise _ParameterError("--analytic-grid must be >= 1")
     failures = []
     out = sys.stdout
 
@@ -281,10 +287,6 @@ def _cmd_verify(args) -> int:
 
     out.write(f"{len(failures)} failure(s)\n")
     return EXIT_OK if not failures else EXIT_VERIFY
-
-
-def _invocation(args) -> str:
-    return args._invocation
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -380,9 +382,9 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=0.9)
     p.add_argument("--duality-states", type=int, default=200,
-                   help="number of random tripartite states")
+                   help="number of random tripartite states, >= 2")
     p.add_argument("--analytic-grid", type=int, default=20,
-                   help="grid points per axis for the closed-form check")
+                   help="grid points per axis for the closed-form check, >= 1")
 
     return parser
 

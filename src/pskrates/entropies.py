@@ -50,25 +50,18 @@ def _check_order(a: float) -> float:
     return a
 
 
-def _tr_power(matrix: np.ndarray, a: float, with_power: bool = False):
+def _tr_power(matrix: np.ndarray, a: float) -> float:
     """tr(M^a) for PSD Hermitian M on its support.
 
     The one spectral kernel of the numeric path. Rounding noise below the
     relative support cutoff is dropped; for a < 1 such noise would otherwise
     be amplified (1e-16 eigenvalues contribute 1e-8 at a = 1/2). The value
-    alone needs only ``eigvalsh``, which is cheaper than ``eigh``. With
-    ``with_power`` it returns (tr(M^a), v, w^a), M^a = v diag(w^a) v^dag in
-    factored form, so a caller forms only the part of M^a it needs.
+    alone needs only ``eigvalsh``, which is cheaper than ``eigh``.
     """
     with np.errstate(over="ignore"):
-        if not with_power:
-            lam = np.linalg.eigvalsh(matrix)
-            lam = lam[lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)]
-            return float((lam**a).sum())
-        w, v = np.linalg.eigh(matrix)
-        w = np.where(w > linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0), w, 0.0)
-        wa = np.where(w > 0.0, w, 1.0) ** a * (w > 0.0)
-    return float(wa.sum()), v, wa
+        lam = np.linalg.eigvalsh(matrix)
+        lam = lam[lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)]
+        return float((lam**a).sum())
 
 
 def _entropy_bits(matrix: np.ndarray) -> float:
@@ -108,20 +101,32 @@ def petz_up_cq(ensemble: CQEnsemble, a: float) -> float:
     return -a / (1.0 - a) * (math.log2(ensemble.n_states) - math.log2(t))
 
 
+def _invariant_objective(rho0: np.ndarray, a: float):
+    """Trace functional q -> tr[(D rho0 D)^a], D = diag(q^((1-a)/2a)).
+
+    q is a diagonal state, so its power is taken entry by entry and only
+    exactly zero weights lie off the support: a relative cut would drop
+    small weights that rho0 still occupies.
+    """
+    c = (1.0 - a) / (2.0 * a)
+
+    def fn(q: np.ndarray) -> float:
+        d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
+        return _tr_power(d[:, None] * rho0 * d[None, :], a)
+
+    return fn
+
+
 def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
     """Sandwiched Rényi conditional entropy, reduced form.
 
     log2 N + log2 tr[(rho_E^c rho_{E|0} rho_E^c)^a] / (1 - a) with
-    c = (1 - a) / (2a). rho_E is diagonal by construction, so its power is
-    taken entry by entry and only exactly zero weights lie off the support:
-    a relative cut would drop small weights that rho_{E|0} still occupies
-    and lift the value above log2 N.
+    c = (1 - a) / (2a): the invariant objective at q = diag(rho_E), as
+    rho_E is diagonal by construction. Cutting its small weights would lift
+    the value above log2 N.
     """
     a = _check_order(a)
-    c = (1.0 - a) / (2.0 * a)
-    d = np.diag(ensemble.avg_state).real
-    x = np.where(d > 0.0, d, 1.0) ** c * (d > 0.0)
-    t = _tr_power(x[:, None] * ensemble.cond_states[0] * x[None, :], a)
+    t = _invariant_objective(ensemble.cond_states[0], a)(np.diag(ensemble.avg_state).real)
     return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
 
 
@@ -355,17 +360,6 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
                       f"(max_i (M^a)_ii / (q_i T) - 1 against {_CERTIFY_BITS:g} bits * ln 2); "
                       "returning best value found", ConvergenceWarning, stacklevel=3)
     return it.log_t
-
-
-def _invariant_objective(rho0: np.ndarray, a: float):
-    """Trace functional q -> tr[(D rho0 D)^a], D = diag(q^((1-a)/2a))."""
-    c = (1.0 - a) / (2.0 * a)
-
-    def fn(q: np.ndarray) -> float:
-        d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
-        return _tr_power(d[:, None] * rho0 * d[None, :], a)
-
-    return fn
 
 
 def _check_sandwiched_up_order(a: float) -> float:
@@ -657,8 +651,8 @@ def _conditioned_on_marginal(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarr
 
 def _check_support(rho: np.ndarray, sigma: np.ndarray) -> None:
     """Signal if rho has weight outside sigma's support."""
-    w, v = linalg.eig(sigma)
-    kernel = v[:, w <= linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0)]
+    w, v = linalg.support_spectrum(sigma)
+    kernel = v[:, w == 0.0]
     if kernel.size:
         leak = float(np.einsum("ij,jk,ki->", kernel.conj().T, rho, kernel).real)
         if leak > 1e-10:
@@ -726,10 +720,14 @@ def sandwiched_up_general(rho, dims: tuple[int, int], a: float) -> float:
 
     def evaluate(sigma):
         x = np.kron(eye_a, matrix_power(sigma, c))
-        value, v, wa = _tr_power(x @ rho @ x, a, with_power=True)
+        # the cut of ``_tr_power``, with eigh for M^a = v diag(wa) v^dag
+        with np.errstate(over="ignore"):
+            w, v = np.linalg.eigh(x @ rho @ x)
+            w = np.where(w > linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0), w, 0.0)
+            wa = np.where(w > 0.0, w, 1.0) ** a * (w > 0.0)
         nxt = partial_trace((v * wa) @ v.conj().T, dims, keep="B")
         nxt = 0.5 * (nxt + nxt.conj().T)
-        return value, nxt / np.trace(nxt).real
+        return float(wa.sum()), nxt / np.trace(nxt).real
 
     sigma = partial_trace(rho, dims, keep="B")
     sigma = 0.5 * (sigma + sigma.conj().T)

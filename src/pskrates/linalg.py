@@ -86,15 +86,15 @@ def apply_on_support(spectrum: Spectrum, fn) -> np.ndarray:
     return (v * fw) @ v.conj().T
 
 
-def matrix_power(matrix, p: float, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_power(matrix, p: float) -> np.ndarray:
     """Fractional power of a PSD Hermitian matrix on its support.
 
-    Eigenvalues at or below ``support_cutoff * max(eigenvalue)`` map to zero,
+    Eigenvalues at or below ``SUPPORT_CUTOFF * max(eigenvalue)`` map to zero,
     so negative ``p`` yields the support-restricted inverse power.
     """
     if not np.isfinite(p):
         raise ValueError("power must be finite")
-    return apply_on_support(support_spectrum(matrix, support_cutoff), lambda lam: lam**p)
+    return apply_on_support(support_spectrum(matrix), lambda lam: lam**p)
 
 
 def matrix_log2(matrix, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:

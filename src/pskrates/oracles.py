@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -214,6 +215,8 @@ def marginal_pair(psi: np.ndarray, dims: tuple[int, int, int]):
 DUAL_PETZ_ORDERS = (0.5, 0.8, 1.3, 1.7)
 DUAL_MIXED_ORDERS = (0.5, 1.5, 2.0)
 DUAL_SANDWICH_ORDERS = (1.25, 2.0)
+#: (dim_A, dim_B, dim_C) of the random pure states, each used with every seed.
+DUAL_DIMS = ((2, 2, 2), (2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -224,9 +227,9 @@ class DualityReport:
     mixed_residual: float
     sandwich_residual: float
     states_tested: int
-    petz_tol: float = 1e-8
-    mixed_tol: float = 1e-8
-    sandwich_tol: float = 1e-6
+    petz_tol: ClassVar[float] = 1e-8
+    mixed_tol: ClassVar[float] = 1e-8
+    sandwich_tol: ClassVar[float] = 1e-6
 
     @property
     def passed(self) -> bool:
@@ -235,19 +238,19 @@ class DualityReport:
                 and self.sandwich_residual <= self.sandwich_tol)
 
 
-def duality_suite(seeds, dims_list=((2, 2, 2), (2, 3, 4))) -> DualityReport:
+def duality_suite(seeds) -> DualityReport:
     """Check the three entropy duality identities on random pure states.
 
     On a pure tripartite state: the Petz entropies of (A|B) at order a and
     (A|C) at 2-a sum to zero; the optimized Petz at a cancels the sandwiched
     at 1/a; and the optimized sandwiched entropies at orders a, b with
     1/a + 1/b = 2 cancel. Residuals are reported as maxima over all tested
-    seeds, orders and dimension triples. Module-level lookups keep the
-    entropy functions monkeypatchable for negative controls.
+    seeds, orders and the dimension triples of ``DUAL_DIMS``. Module-level
+    lookups keep the entropy functions monkeypatchable for negative controls.
     """
     petz_res = mixed_res = sandwich_res = 0.0
     tested = 0
-    for dims in dims_list:
+    for dims in DUAL_DIMS:
         d_a, d_b, d_c = dims
         for seed in seeds:
             psi = random_pure_tripartite(dims, seed)

@@ -33,7 +33,9 @@ A_MAX_S_LIMIT = 64.0
 A_MIN_OFFSET = 1e-9
 _A_GRID_OFFSET_MIN = 1e-5
 
-ALPHA_BOUNDS_DEFAULT = (0.05, 3.0)
+#: Amplitude search interval, and the points per axis of the coarse scan.
+ALPHA_BOUNDS = (0.05, 3.0)
+GRID_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -219,18 +221,16 @@ def optimize_rate(
     n: float,
     eps: float = 1e-8,
     eps_prime: float = 1e-8,
-    alpha_bounds: tuple[float, float] = ALPHA_BOUNDS_DEFAULT,
     a_max: float | None = None,
-    grid_points: int = 25,
 ) -> RateResult:
     """Maximize an estimator over the amplitude and the Rényi order.
 
-    A coarse grid scan (``grid_points`` per axis; the order axis is gridded
-    in log(a - 1)) locates the basin, then Nelder-Mead refines from the best
-    three grid points. Ties in the scan break toward the lexicographically
-    smallest (alpha, a). The AEP estimator has no order parameter and is
-    optimized over alpha alone. Negative optima are returned as computed,
-    flagged by ``key_possible``.
+    A coarse grid scan over alpha in ``ALPHA_BOUNDS`` (``GRID_POINTS`` per
+    axis; the order axis is gridded in log(a - 1)) locates the basin, then
+    Nelder-Mead refines from the best three grid points. Ties in the scan
+    break toward the lexicographically smallest (alpha, a). The AEP
+    estimator has no order parameter and is optimized over alpha alone.
+    Negative optima are returned as computed, flagged by ``key_possible``.
 
     ConvergenceWarnings of the entropy evaluations are collected: if any
     arose, the result has ``converged=False`` and one ConvergenceWarning
@@ -240,9 +240,7 @@ def optimize_rate(
     spec = estimator_spec(estimator)
     if spec.takes_order:
         log_a_hi = math.log(spec.order_cap(a_max) - 1.0)
-    lo, hi = alpha_bounds
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid alpha bounds {alpha_bounds}")
+    lo, hi = ALPHA_BOUNDS
 
     ensembles: dict[float, CQEnsemble] = {}
     log_a_lo = math.log(_A_GRID_OFFSET_MIN)
@@ -266,9 +264,9 @@ def optimize_rate(
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         return value
 
-    alphas = np.linspace(lo, hi, grid_points)
+    alphas = np.linspace(lo, hi, GRID_POINTS)
     if spec.takes_order:
-        log_as = np.linspace(log_a_lo, log_a_hi, grid_points)
+        log_as = np.linspace(log_a_lo, log_a_hi, GRID_POINTS)
         scored = [(evaluate(al, la), (al, la)) for al in alphas for la in log_as]
     else:
         scored = [(evaluate(al, None), (al,)) for al in alphas]
@@ -280,14 +278,14 @@ def optimize_rate(
     if dim == 2:
         span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
         if abs(np.linalg.det(span)) < 1e-12:  # collinear grid points stall NM
-            step_alpha = (hi - lo) / (grid_points - 1)
-            step_log_a = (log_a_hi - log_a_lo) / (grid_points - 1)
+            step_alpha = (hi - lo) / (GRID_POINTS - 1)
+            step_log_a = (log_a_hi - log_a_lo) / (GRID_POINTS - 1)
             if abs(simplex[1][0] - simplex[0][0]) < 1e-12:
                 simplex[2] = simplex[0] + np.array([step_alpha, 0.0])
             else:
                 simplex[2] = simplex[0] + np.array([0.0, step_log_a])
     elif abs(simplex[1][0] - simplex[0][0]) < 1e-12:
-        simplex[1] = simplex[0] + np.array([(hi - lo) / (grid_points - 1)])
+        simplex[1] = simplex[0] + np.array([(hi - lo) / (GRID_POINTS - 1)])
 
     def clip(x: np.ndarray) -> tuple[float, float | None]:
         alpha = float(min(max(x[0], lo), hi))

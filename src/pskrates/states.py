@@ -109,8 +109,6 @@ class CQEnsemble:
     probs: np.ndarray
     cond_states: tuple
     avg_state: np.ndarray
-    basis_tag: str
-    gamma: float
 
     def __post_init__(self):
         n = self.params.n_states
@@ -173,8 +171,6 @@ def build_bpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
         probs=_freeze(np.full(2, 0.5)),
         cond_states=(_freeze(rho0), _freeze(rho1)),
         avg_state=_freeze(avg),
-        basis_tag="psi_pm",
-        gamma=gamma,
     )
 
 
@@ -205,8 +201,6 @@ def build_qpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
         probs=_freeze(np.full(4, 0.25)),
         cond_states=states,
         avg_state=_freeze(avg),
-        basis_tag="psi_s",
-        gamma=gamma,
     )
 
 

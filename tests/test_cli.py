@@ -278,16 +278,32 @@ class TestSweep:
                                "--alpha", "1")
         assert code == EXIT_PARAMS
 
-    def test_worker_pool_preserves_output(self, capsys, monkeypatch):
-        argv = ("sweep", "--variable", "eta", "--from", "0.2", "--to", "0.8",
-                "--points", "4", "--quantity", "entropies",
-                "--protocol", "bpsk", "--alpha", "1", "--order", "1.2")
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--variable", "eta", "--from", "0.2", "--to", "0.8",
+         "--points", "4", "--quantity", "entropies",
+         "--protocol", "bpsk", "--alpha", "1", "--order", "1.2"),
+        ("sweep", "--variable", "n", "--from", "1e4", "--to", "1e6",
+         "--points", "2", "--scale", "log", "--quantity", "rate",
+         "--protocol", "bpsk", "--eta", "0.9", "--optimize",
+         "--estimator", "S,AEP,B"),
+    ], ids=["entropies", "optimized-rate"])
+    def test_worker_pool_preserves_output(self, capsys, monkeypatch, argv):
         code, serial, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         monkeypatch.setenv("PSKRATES_WORKERS", "2")
         code, parallel, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert serial == parallel  # rows in input order, byte-identical
+        if "--optimize" in argv:
+            monkeypatch.delenv("PSKRATES_WORKERS")
+            single = []
+            for n in ("1e4", "1e6"):
+                code, out, _ = run_cli(capsys, "rate", "--protocol", "bpsk",
+                                       "--eta", "0.9", "--n", n, "--optimize",
+                                       "--estimator", "S,AEP,B")
+                assert code == EXIT_OK
+                single += parse_csv(out)[1]
+            assert parse_csv(serial)[1] == single
 
     def test_order_flag_alias(self, capsys):
         code, out, _ = run_cli(capsys, "entropies", "--protocol", "bpsk",
@@ -325,6 +341,18 @@ class TestVerify:
                                "--duality-states", "8")
         assert code == EXIT_OK
         assert "pass  duality/petz" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--duality-states", "1"), ("--duality-states", "0"),
+        ("--duality-states", "-5"), ("--analytic-grid", "0"),
+        ("--analytic-grid", "-3"),
+    ])
+    def test_empty_suite_is_parameter_error(self, capsys, flag, value):
+        suite = "duality" if flag == "--duality-states" else "analytic"
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+        assert code == EXIT_PARAMS
+        assert flag in err
+        assert "pass" not in out
 
     def test_failures_exit_two(self, capsys, monkeypatch):
         true_fn = entropies.petz_up_general

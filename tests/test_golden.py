@@ -2,7 +2,8 @@
 
 Each file under ``golden/`` is the stdout of one ``pskrates`` invocation,
 whose arguments are recorded in the file's ``# pskrates ...`` first line.
-The test re-runs that invocation through ``cli.main`` and compares bytes.
+The test re-runs that invocation through ``cli.main`` and compares the
+whole output exactly, as text so that a mismatch prints a line diff.
 A difference is a change in behaviour: it needs its own stated reason, and
 the files are not to be regenerated to make it pass.
 """
@@ -23,10 +24,11 @@ def test_golden_set_present():
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
 def test_output_is_byte_identical(path, capsys):
-    expected = path.read_bytes()
-    first = expected.decode("ascii").splitlines()[0]
+    expected = path.read_bytes().decode("ascii")
+    first = expected.splitlines()[0]
     assert first.startswith(PREFIX)
     code = main(first[len(PREFIX):].split(" "))
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert out.encode("ascii") == expected
+    assert out.isascii()
+    assert out == expected

@@ -203,11 +203,11 @@ class TestOptimizeRate:
         monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = optimize_rate("S", 2, 0.9, 1e6, grid_points=5)
+            result = optimize_rate("S", 2, 0.9, 1e6)
         assert not result.converged
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, entropies.ConvergenceWarning)]
         assert len(messages) == 1
-        # the first grid point above a = 2 is the cap a = 4 at the smallest alpha
+        # the first grid point above a = 2 is a = 2.0488 at the smallest alpha
         assert messages[0].startswith("S rate at n=1e+06:")
-        assert "first at alpha=0.05, a=4 " in messages[0]
+        assert "first at alpha=0.05, a=2.0488 " in messages[0]

@@ -166,8 +166,7 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="mixture"):
             CQEnsemble(params=params, probs=good.probs,
                        cond_states=(good.cond_states[0], good.cond_states[0]),
-                       avg_state=good.avg_state, basis_tag="psi_pm",
-                       gamma=good.gamma)
+                       avg_state=good.avg_state)
 
 
 class TestSymmetryGroup:
@@ -208,8 +207,7 @@ class TestSymmetryGroup:
         states = (np.diag([0.9, 0.1]).astype(complex), np.diag([0.5, 0.5]).astype(complex))
         with pytest.raises(ValueError, match="unitarily equivalent"):
             CQEnsemble(params=params, probs=np.full(2, 0.5), cond_states=states,
-                       avg_state=np.diag([0.7, 0.3]).astype(complex),
-                       basis_tag="psi_pm", gamma=params.gamma)
+                       avg_state=np.diag([0.7, 0.3]).astype(complex))
 
     def test_symmetry_violation_is_signaled(self):
         # diagonal states that average correctly but are not phase-related
@@ -220,7 +218,6 @@ class TestSymmetryGroup:
                   np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex))
         broken = CQEnsemble(params=params, probs=np.full(4, 0.25),
                             cond_states=states,
-                            avg_state=np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
-                            basis_tag="psi_s", gamma=params.gamma)
+                            avg_state=np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
         with pytest.raises(ValueError, match="symmetry violated"):
             symmetry_group(broken)
