@@ -25,7 +25,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import matrix_log2, matrix_power, partial_trace
-from .optimize import initial_simplex, nelder_mead
 from .states import CQEnsemble, ProtocolParams
 
 LN2 = math.log(2.0)
@@ -53,14 +52,18 @@ def _check_order(a: float) -> float:
 def _tr_power(matrix: np.ndarray, a: float) -> float:
     """tr(M^a) for PSD Hermitian M on its support.
 
-    The one spectral kernel of the numeric path. Rounding noise below the
-    relative support cutoff is dropped; for a < 1 such noise would otherwise
-    be amplified (1e-16 eigenvalues contribute 1e-8 at a = 1/2). The value
-    alone needs only ``eigvalsh``, which is cheaper than ``eigh``.
+    The one spectral kernel of the numeric path. Below order 1 rounding
+    noise would be amplified (1e-16 eigenvalues contribute 1e-8 at
+    a = 1/2), so eigenvalues at or below the relative support cutoff are
+    dropped. Above order 1 an eigenvalue x adds x^a <= x, so noise cannot
+    grow and only non-positive eigenvalues are dropped: a cut genuine
+    weight would lift a value near a = 1 by up to 1.44e-12 / (a - 1) bits.
+    The value alone needs only ``eigvalsh``, which is cheaper than ``eigh``.
     """
+    cutoff = linalg.SUPPORT_CUTOFF if a < 1.0 else 0.0
     with np.errstate(over="ignore"):
         lam = np.linalg.eigvalsh(matrix)
-        lam = lam[lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)]
+        lam = lam[lam > cutoff * max(float(lam[-1]), 0.0)]
         return float((lam**a).sum())
 
 
@@ -142,16 +145,18 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 # below 1/2 it is neither, and those orders are refused. Two paths solve
 # for q, both in the log-odds z_i = log(q_i/q_0), clipped to [-60, 60]:
 #
-# * N=2, a > 1: the 2x2 spectrum has a closed form, evaluated in the log
-#   domain so that orders up to 64 neither overflow nor underflow. Convexity
+# * N=2: the 2x2 spectrum has a closed form, evaluated in the log domain
+#   so that orders up to 64 neither overflow nor underflow. Its smaller
+#   eigenvalue comes from the determinant, so it is accurate however small,
+#   and no weight is cut: a weight of rho_{E|0} far below the largest one
+#   counts at every q and every order. Convexity (concavity for a < 1)
 #   makes log T unimodal in z, and a golden-section search finds the
-#   minimum to |dz| <= 1e-11 without warnings.
+#   optimum to |dz| <= 1e-11 without warnings.
 #
-# * Every other case: a damped Newton method that minimizes s log T,
-#   s = sign(a - 1), and stops on a certificate. Each iterate costs one
-#   eigh of M, scaled by its largest eigenvalue so that
-#   log T = a log(lam_max) + log tr(M'^a) with M' = M / lam_max. With
-#   u_i = c log q_i and w_i = (M^a)_ii / T:
+# * N=4: a damped Newton method that minimizes s log T, s = sign(a - 1),
+#   and stops on a certificate. Each iterate costs one eigh of M, scaled by
+#   its largest eigenvalue so that log T = a log(lam_max) + log tr(M'^a)
+#   with M' = M / lam_max. With u_i = c log q_i and w_i = (M^a)_ii / T:
 #   - gradient: d log T / du = 2a w, so d log T / dz_i = (1-a)(w_i - q_i);
 #   - Hessian (Daleckii-Krein): d^2 T / du_k du_l = 2a sum_mn V_km V*_kn
 #     f1(lam_m, lam_n)(lam_m + lam_n) V*_lm V_ln, f1 the divided
@@ -179,7 +184,8 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   rounding and the gap falls: near the optimum (or near a = 1) the
 #   change in log T drops below its rounding, and the gap is then the
 #   merit function. A solve that does not certify warns with the order,
-#   the gap and the tolerance.
+#   the gap and the tolerance. This loop, ``_certified_newton``, also runs
+#   the general solve over all conditioning states below.
 #
 #   The start for a > 1, q_i proportional to rho_ii^(a/(2a-1)), is the
 #   optimum for pure rho_{E|0} and as a -> 1. Its exponent diverges as
@@ -192,7 +198,7 @@ _LOGODDS_CLIP = 60.0
 _LOGODDS_TOL = 1e-11
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Entropy error (bits) the Newton solve certifies, and its iteration cap.
+#: Entropy error (bits) both Newton solves certify, and their iteration cap.
 _CERTIFY_BITS = 1e-12
 _NEWTON_MAX_ITER = 50
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
@@ -203,30 +209,32 @@ def _softplus(z: float) -> float:
     return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
-def _two_state_log_trace(rho0: np.ndarray, a: float):
-    """z -> log tr[(D rho0 D)^a] for N=2 and a > 1, q = (1, e^z) / (1 + e^z).
+def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
+    """opt_q log tr[(D rho0 D)^a] for N=2, a >= 1/2, q = (1, e^z) / (1 + e^z).
 
-    M = D rho0 D has m00 = q0^2c rho00, m11 = q1^2c rho11 and
-    |m01|^2 = (q0 q1)^2c |rho01|^2. The smaller eigenvalue comes from the
-    determinant, (q0 q1)^2c det(rho0) / lam_+, not from a difference, and is
-    dropped below the relative support cutoff as in ``_tr_power``.
+    The minimum for a > 1 and the maximum for a < 1. M = D rho0 D has
+    m00 = q0^2c rho00, m11 = q1^2c rho11 and |m01|^2 = (q0 q1)^2c |rho01|^2.
+    The smaller eigenvalue comes from the determinant, (q0 q1)^2c det(rho0)
+    / lam_+, not from a difference. det(rho0) within the rounding of
+    rho00 rho11 - |rho01|^2 counts as zero, so a pure rho0 stays pure.
     """
     c2 = (1.0 - a) / a
     p0, p1 = float(rho0[0, 0].real), float(rho0[1, 1].real)
     off = float(abs(rho0[0, 1])) ** 2
-    det = max(p0 * p1 - off, 0.0)
-    cutoff = linalg.SUPPORT_CUTOFF
+    det = p0 * p1 - off
+    if det <= 8.0 * _UNIT_ROUNDOFF * p0 * p1:
+        det = 0.0
+    sense = 1.0 if a > 1.0 else -1.0
 
-    def fn(z: float) -> float:
+    def merit(z: float) -> float:
         e0 = -c2 * _softplus(z)  # log q0^2c
         e1 = -c2 * _softplus(-z)  # log q1^2c
         m0, m1, cross = p0 * math.exp(e0), p1 * math.exp(e1), math.exp(e0 + e1)
         lam = 0.5 * (m0 + m1) + math.sqrt(0.25 * (m0 - m1) ** 2 + off * cross)
         ratio = cross * det / (lam * lam)
-        log_t = a * math.log(lam)
-        return log_t + math.log1p(ratio**a) if ratio > cutoff else log_t
+        return sense * (a * math.log(lam) + math.log1p(ratio**a))
 
-    return fn
+    return sense * _golden_min(merit, -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
@@ -246,7 +254,7 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
-    """f1(x_m, x_n) of f(x) = x^a for x in [0, 1], a > 0.
+    """f1(x_m, x_n) of f(x) = x^a for x in [0, 1], a > 0 (any a if every x > 0).
 
     With y the larger argument and r the ratio of the smaller to it, this is
     y^(a-1) expm1(a ln r) / expm1(ln r): exact for nearly equal arguments,
@@ -262,23 +270,85 @@ def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
         return np.where(hi > 0.0, hi ** (a - 1.0) * ratio, 0.0)
 
 
+class _ScaledPower(NamedTuple):
+    """tr(M^a) of a PSD M from its scaled spectrum, and its rounding."""
+
+    top: float  # lam_max
+    x: np.ndarray  # eigenvalues of M / lam_max, zero at or below the cut
+    v: np.ndarray
+    xa: np.ndarray
+    t: float  # tr (M / lam_max)^a
+    log_t: float  # log tr(M^a)
+    noise: float  # rounding of log_t
+    eps: float  # rounding of the entries of (M / lam_max)^a
+
+
+def _scaled_power(m: np.ndarray, a: float, n: int) -> _ScaledPower:
+    """Scaled spectrum of M and the rounding bounds of its power (n: dimension).
+
+    Eigenvalues at or below ``SUPPORT_CUTOFF`` times the largest count as
+    zero. The entry bound is L n^2 u with L the largest divided difference
+    of x^a on the kept spectrum (see the comment above ``_LOGODDS_CLIP``).
+    """
+    lam, v = np.linalg.eigh(m)
+    x = lam / lam[-1]
+    x[x <= linalg.SUPPORT_CUTOFF] = 0.0
+    xa = x**a
+    t = float(xa.sum())
+    lipschitz = a if a > 1.0 else a * float(x[x > 0.0].min()) ** (a - 1.0)
+    eps = lipschitz * n * n * _UNIT_ROUNDOFF
+    log_scale, log_t = math.log(lam[-1]), math.log(t)
+    return _ScaledPower(float(lam[-1]), x, v, xa, t, a * log_scale + log_t,
+                        _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps, eps)
+
+
 class _Iterate(NamedTuple):
     """One Newton iterate: log-odds, weights, scaled spectrum and certificate."""
 
-    z: np.ndarray
+    point: np.ndarray  # log-odds z
+    merit: float  # s log T, s = sign(a - 1)
+    noise: float  # rounding of the merit
+    gap: float  # max_i (r_i - 1 - floor_i)
     q: np.ndarray
-    x: np.ndarray  # eigenvalues of M / lam_max, zero below the support cut
+    x: np.ndarray  # eigenvalues of M / lam_max
     v: np.ndarray
     w: np.ndarray  # (M^a)_ii / T
     t: float  # tr (M / lam_max)^a
-    log_t: float
-    noise: float  # rounding of log_t
     kkt: np.ndarray  # r_i - 1 with r_i = w_i / q_i
     floor: np.ndarray  # rounding floor of r_i
 
-    @property
-    def gap(self) -> float:
-        return float((self.kkt - self.floor).max())
+
+def _certified_newton(evaluate, newton_step, start, a: float, label: str, test: str,
+                      stacklevel: int):
+    """Damped Newton from ``start`` that stops on the certificate ``it.gap``.
+
+    ``newton_step(it)`` gives the slope and the step, or None if no variable
+    can move. The line search and the warning are described in the comment
+    above ``_LOGODDS_CLIP``.
+    """
+    tol = _CERTIFY_BITS * LN2
+    it = evaluate(start)
+    for _ in range(_NEWTON_MAX_ITER):
+        move = newton_step(it) if it.gap > tol else None
+        if move is None:
+            break
+        slope, step = move
+        tau = 1.0
+        while tau >= 1e-10:
+            cand = evaluate(it.point + tau * step)
+            if cand.merit <= it.merit + 1e-4 * tau * slope or (
+                    cand.merit <= it.merit + 2.0 * it.noise and cand.gap < it.gap):
+                break
+            tau *= 0.5
+        else:  # no acceptable step: stop and report the gap
+            break
+        it = cand
+    if it.gap > tol:
+        warnings.warn(f"{label} at a={a:.6g} did not certify: "
+                      f"Frank-Wolfe gap {it.gap:.3g} above tolerance {tol:.3g} "
+                      f"({test} against {_CERTIFY_BITS:g} bits * ln 2); "
+                      "returning best value found", ConvergenceWarning, stacklevel=stacklevel)
+    return it
 
 
 def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
@@ -296,7 +366,6 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
     n = rho0.shape[0]
     c = (1.0 - a) / (2.0 * a)
     sense = 1.0 if a > 1.0 else -1.0
-    tol = _CERTIFY_BITS * LN2
 
     def evaluate(z: np.ndarray) -> _Iterate:
         z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
@@ -305,21 +374,18 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
         log_q -= top + math.log(np.exp(log_q - top).sum())
         q = np.exp(log_q)
         d = np.exp(c * log_q)
-        lam, v = np.linalg.eigh(rho * np.outer(d, d))
-        x = lam / lam[-1]
-        x[x <= linalg.SUPPORT_CUTOFF] = 0.0
-        xa = x**a
-        t = float(xa.sum())
-        w = (v.real**2 + v.imag**2) @ xa / t
+        sp = _scaled_power(rho * np.outer(d, d), a, n)
+        w = (sp.v.real**2 + sp.v.imag**2) @ sp.xa / sp.t
         ratio = w / q
-        lipschitz = a if a > 1.0 else a * float(x[x > 0.0].min()) ** (a - 1.0)
-        eps = lipschitz * n * n * _UNIT_ROUNDOFF
-        log_scale, log_t = math.log(lam[-1]), math.log(t)
-        return _Iterate(z, q, x, v, w, t, a * log_scale + log_t,
-                        _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps,
-                        ratio - 1.0, eps * (1.0 / (q * t) + ratio))
+        kkt, floor = ratio - 1.0, sp.eps * (1.0 / (q * sp.t) + ratio)
+        return _Iterate(z, sense * sp.log_t, sp.noise, float((kkt - floor).max()),
+                        q, sp.x, sp.v, w, sp.t, kkt, floor)
 
-    def newton_step(it: _Iterate, free: np.ndarray) -> tuple[float, np.ndarray]:
+    def newton_step(it: _Iterate) -> tuple[float, np.ndarray] | None:
+        # a weight whose residual is within its rounding floor stays put
+        free = np.abs(it.kkt[1:]) > it.floor[1:]
+        if not free.any():
+            return None
         k = it.q.size
         kernel = _power_divided_differences(it.x, a) * (it.x[:, None] + it.x[None, :])
         proj = (it.v.T[:, :, None] * it.v.T.conj()[:, None, :]).reshape(k, k * k)
@@ -336,30 +402,10 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
         return float(grad @ step[free]), step
 
     log_q0 = (a / (2.0 * a - 1.0) if a > 1.0 else 1.0) * np.log(p[support])
-    it = evaluate(log_q0[1:] - log_q0[0])
-    for _ in range(_NEWTON_MAX_ITER):
-        # a weight whose residual is within its rounding floor stays put
-        free = np.abs(it.kkt[1:]) > it.floor[1:]
-        if it.gap <= tol or not free.any():
-            break
-        slope, step = newton_step(it, free)
-        tau = 1.0
-        while tau >= 1e-10:
-            cand = evaluate(it.z + tau * step)
-            merit, last = sense * cand.log_t, sense * it.log_t
-            if merit <= last + 1e-4 * tau * slope or (
-                    merit <= last + 2.0 * it.noise and cand.gap < it.gap):
-                break
-            tau *= 0.5
-        else:  # no acceptable step: stop and report the gap
-            break
-        it = cand
-    if it.gap > tol:
-        warnings.warn(f"invariant-state Newton solve at a={a:.6g} did not certify: "
-                      f"Frank-Wolfe gap {it.gap:.3g} above tolerance {tol:.3g} "
-                      f"(max_i (M^a)_ii / (q_i T) - 1 against {_CERTIFY_BITS:g} bits * ln 2); "
-                      "returning best value found", ConvergenceWarning, stacklevel=3)
-    return it.log_t
+    it = _certified_newton(evaluate, newton_step, log_q0[1:] - log_q0[0], a,
+                           "invariant-state Newton solve", "max_i (M^a)_ii / (q_i T) - 1",
+                           stacklevel=4)
+    return sense * it.merit
 
 
 def _check_sandwiched_up_order(a: float) -> float:
@@ -384,9 +430,9 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     The solve runs in the log-odds z_i = log(q_i / q_0) on one of two paths
     (details in the comment above ``_LOGODDS_CLIP``):
 
-    * N=2, a > 1: a log-domain golden-section search over the closed-form
-      2x2 spectrum; deterministic, never warns.
-    * otherwise: damped Newton with the exact (Daleckii-Krein) Hessian. It
+    * N=2: a log-domain golden-section search over the closed-form 2x2
+      spectrum, which cuts no weight; deterministic, never warns.
+    * N=4: damped Newton with the exact (Daleckii-Krein) Hessian. It
       stops once the Frank-Wolfe gap certifies the value to 1e-12 bits:
       max_i (M^a)_ii / (q_i tr M^a) - 1 <= 1e-12 ln 2, up to the rounding
       floor of that ratio. If it cannot certify, a ConvergenceWarning gives
@@ -396,11 +442,7 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     a = _check_sandwiched_up_order(a)
     rho0 = ensemble.cond_states[0]
     n = ensemble.n_states
-    if n == 2 and a > 1.0:
-        log_t = _golden_min(_two_state_log_trace(rho0, a),
-                            -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
-    else:
-        log_t = _newton_log_trace(rho0, a)
+    log_t = _two_state_log_trace(rho0, a) if n == 2 else _newton_log_trace(rho0, a)
     return math.log2(n) + log_t / (LN2 * (1.0 - a))
 
 
@@ -698,96 +740,177 @@ def sandwiched_down_general(rho, dims: tuple[int, int], a: float) -> float:
     return math.log2(_tr_power(x @ rho @ x, a)) / (1.0 - a)
 
 
-#: Relative value change that ends the marginal fixed point, and its step cap.
-_GENERAL_VALUE_TOL = 1e-11
-_GENERAL_MAX_ITER = 500
+# ---------------------------------------------------------------------------
+# Optimized sandwiched entropy over all conditioning states.
+#
+# The optimum runs over every state sigma on the support of rho_B, in the
+# coordinates sigma = e^H / tr e^H (s_i, h_i the eigenvalues of sigma and H).
+# With rho = B B^dag on its range (B is n x rank) and c = (1-a)/2a,
+# T = tr[(sigma^c rho sigma^c)^a] = tr N^a with N = B^dag (1 x sigma^2c) B,
+# which has the nonzero spectrum of M = sigma^c rho sigma^c but no zero
+# eigenvalues from a rank-deficient rho, and stays well conditioned as sigma
+# nears the boundary of the state space. The solve minimizes
+# f(H) = log T / (a - 1) = log tr e^H + log tr N~^a / (a - 1), where
+# N~ = B^dag (1 x e^2cH) B, with the damped Newton method of the invariant
+# solve (``_certified_newton``):
+# - certificate: T is convex in sigma for a > 1 and concave for
+#   1/2 <= a < 1 (Frank-Lieb 2013), and grad_sigma log T = (1-a) R with, in
+#   the eigenbasis of sigma, R = [f1(s_i, s_j) / 2c] o Q, f1 the divided
+#   differences of x^2c and Q = tr_A(B N^(a-1) B^dag) / T. (This is
+#   [f1_c(s_i, s_j)(s_i^-c + s_j^-c) / 2c] o W with W = tr_A(M^a) / T and f1_c
+#   the divided differences of x^c.) tr(R sigma) = 1, and for diagonal
+#   sigma diag(R) is the r_i of the invariant solve, so the Frank-Wolfe gap
+#   is |a-1| T (lambda_max(R) - 1) for both a > 1 and a < 1, and
+#   lambda_max(R) - 1 <= e ln 2 bounds the entropy error by e bits;
+# - gradient: grad_H f = g o (I - R) with g_ij = (s_i - s_j) / (h_i - h_j)
+#   (= s_i on the diagonal), i.e. grad_H log T = (1-a) g o (R - I);
+# - Hessian, in the k^2 real directions E of Hermitian k x k matrices: the
+#   Kubo-Mori term sum_ij g_ij |E_ij|^2 - (sum_i s_i E_ii)^2 of log tr e^H,
+#   plus (1/(a-1)) d^2 log tr N~^a. The latter follows from the first and
+#   second divided differences of exp at y = 2c h (Daleckii-Krein for e^Y,
+#   Y = 2cH), which give dN~ and d^2 N~, and from those of x^(a-1) on the
+#   spectrum of N: d^2 tr N^a = a tr(N^(a-1) d^2 N) + a sum_mn
+#   f1_(a-1)(x_m, x_n) |dN_mn|^2. Each step is Jacobi-scaled before its
+#   eigenvalues enter by absolute value: the curvature along an eigenvalue
+#   of sigma scales with s_i, and optima near the boundary (a near 1/2)
+#   have s_i far below 1e-12.
+# The rounding floor follows the invariant solve: eigh of N' = N / lam_max
+# has backward error rank^2 u, so each eigenvalue x_m moves by rank^2 u,
+# Q_ii by |a-1| rank^2 u sum_m |B_im|^2 x_m^(a-2) (B in the eigenbases of
+# sigma and N, scaled as Q) and R_ii by that times R_ii / Q_ii, to which the
+# relative error eps of T adds eps R_ii. The stopping test subtracts the
+# floor from diag(R). The start is sigma = rho_B.
+# ---------------------------------------------------------------------------
+
+
+def _exp_first_dd(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp[x, y] = e^m (1 - e^-d) / d with m = max(x, y), d = |x - y|, elementwise.
+
+    Finite for every spread d once m <= 0; callers shift their arguments by
+    the largest one.
+    """
+    m, d = np.maximum(x, y), np.abs(x - y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(m) * np.where(d == 0.0, 1.0, -np.expm1(-d) / d)
+
+
+def _exp_second_dd(y: np.ndarray) -> np.ndarray:
+    """exp[y_i, y_k, y_j] scaled by e^-max(y), as a k x k x k array.
+
+    Symmetric in its arguments; sorted to lo <= mid <= hi it is
+    (exp[hi, mid] - exp[mid, lo]) / (hi - lo). Below a spread of 1e-3, where
+    that difference cancels, it is the series about the mean,
+    e^mean (1/2 + sum_l d_l^2 / 48) with d_l the offsets, good to about
+    1e-11: it only shapes a Newton step.
+    """
+    y = y - y.max()
+    lo, mid, hi = np.moveaxis(np.sort(np.stack(np.broadcast_arrays(
+        y[:, None, None], y[None, :, None], y[None, None, :]), axis=-1), axis=-1), -1, 0)
+    mean = (lo + mid + hi) / 3.0
+    near = np.exp(mean) * (0.5 + ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / 48.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (_exp_first_dd(hi, mid) - _exp_first_dd(mid, lo)) / (hi - lo)
+    return np.where(hi - lo < 1e-3, near, far)
+
+
+def _hermitian_basis(k: int) -> np.ndarray:
+    """A real basis of the k x k Hermitian matrices: E_ij + E_ji (i <= j), i(E_ij - E_ji) (i < j)."""
+    i, j = np.triu_indices(k)
+    unit = np.zeros((i.size, k, k), dtype=complex)
+    unit[np.arange(i.size), i, j] = 1.0
+    flip = unit.transpose(0, 2, 1)
+    return np.concatenate((unit + flip, 1j * (unit - flip)[i < j]))
+
+
+class _GeneralIterate(NamedTuple):
+    """One Newton iterate over sigma = e^H / tr e^H, with its certificate."""
+
+    point: np.ndarray  # H
+    merit: float  # f = log T / (a - 1)
+    noise: float  # rounding of f
+    gap: float  # lambda_max(R - floor) - 1
+    h: np.ndarray  # eigenvalues of H
+    u: np.ndarray  # eigenvectors of H and of sigma
+    g: np.ndarray  # exp[h_i, h_j] / tr e^H; its diagonal is the spectrum of sigma
+    p1: np.ndarray  # exp[y_i, y_j] e^-max(y), y = 2c h
+    bv: np.ndarray  # B in the eigenbases of sigma and of N
+    sp: _ScaledPower  # of N, scaled so that its weights are p1_ii
+    q: np.ndarray  # tr_A(B N^(a-1) B^dag) / T, scaled as p1
 
 
 def sandwiched_up_general(rho, dims: tuple[int, int], a: float) -> float:
     """Optimized sandwiched Rényi conditional entropy over all marginals.
 
-    Runs the fixed-point iteration sigma <- tr_A[(sigma^c rho sigma^c)^a]
-    (normalized, geometrically damped on stalls), whose stationary point is
-    the optimizer; falls back to a direct parameterized search if the
-    iteration fails to settle. Supported for a >= 1/2, a != 1.
+    Returns log2 opt_sigma tr[(sigma^c rho sigma^c)^a] / (1 - a) with
+    c = (1 - a) / (2a), the optimum over states sigma_B on the support of
+    rho_B (infimum for a > 1, supremum for a < 1). Damped Newton with the
+    exact Hessian runs in H, sigma = e^H / tr e^H, and stops once the
+    Frank-Wolfe gap certifies the value to 1e-12 bits:
+    lambda_max(R) - 1 <= 1e-12 ln 2, up to the rounding floor of R (details
+    in the comment above). If it cannot certify, a ConvergenceWarning gives
+    the order, the gap reached and the tolerance, and the best value found
+    is returned. Supported for a >= 1/2, a != 1.
     """
     a = _check_sandwiched_up_order(a)
     rho = np.asarray(rho, dtype=complex)
-    dim_a, dim_b = dims
+    dim_a = dims[0]
+    w_b, v_b = linalg.support_spectrum(partial_trace(rho, dims, keep="B"))
+    iso = np.kron(np.eye(dim_a), v_b[:, w_b > 0.0])
+    lam, v = linalg.support_spectrum(iso.conj().T @ rho @ iso)
+    k, rank = int((w_b > 0.0).sum()), int((lam > 0.0).sum())
+    b_range = (v[:, lam > 0.0] * np.sqrt(lam[lam > 0.0])).reshape(dim_a, k, rank)
     c = (1.0 - a) / (2.0 * a)
-    sense = 1.0 if a > 1.0 else -1.0
-    eye_a = np.eye(dim_a)
+    basis = _hermitian_basis(k)
 
-    def evaluate(sigma):
-        x = np.kron(eye_a, matrix_power(sigma, c))
-        # the cut of ``_tr_power``, with eigh for M^a = v diag(wa) v^dag
-        with np.errstate(over="ignore"):
-            w, v = np.linalg.eigh(x @ rho @ x)
-            w = np.where(w > linalg.SUPPORT_CUTOFF * max(float(w[-1]), 0.0), w, 0.0)
-            wa = np.where(w > 0.0, w, 1.0) ** a * (w > 0.0)
-        nxt = partial_trace((v * wa) @ v.conj().T, dims, keep="B")
-        nxt = 0.5 * (nxt + nxt.conj().T)
-        return float(wa.sum()), nxt / np.trace(nxt).real
+    def evaluate(h_op: np.ndarray) -> _GeneralIterate:
+        h, u = np.linalg.eigh(h_op)
+        log_z = h.max() + math.log(np.exp(h - h.max()).sum())
+        y = 2.0 * c * h
+        g = _exp_first_dd(h[:, None] - log_z, h[None, :] - log_z)
+        p1 = _exp_first_dd(y[:, None] - y.max(), y[None, :] - y.max())
+        bt = np.einsum("ji,ajr->air", u.conj(), b_range)
+        sp = _scaled_power(np.einsum("air,i,ais->rs", bt.conj(), p1.diagonal(), bt), a, rank)
+        kept = sp.x > 0.0
+        x_kept = np.where(kept, sp.x, 1.0)
+        xam1 = np.where(kept, sp.xa / x_kept, 0.0)
+        bv = bt @ sp.v
+        q = np.einsum("air,r,ajr->ij", bv, xam1, bv.conj()) / (sp.top * sp.t)
+        sensitivity = np.einsum("air,r->i", np.abs(bv) ** 2, xam1 / x_kept) / (sp.top * sp.t)
+        # a step so long that an eigenvalue of sigma underflows is rejected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = p1 * q / g
+            floor = (abs(a - 1.0) * rank * rank * _UNIT_ROUNDOFF * sensitivity * p1.diagonal()
+                     / g.diagonal() + sp.eps * r.diagonal().real)
+        finite = bool(np.isfinite(r).all() and np.isfinite(floor).all())
+        log_scale = y.max() - 2.0 * c * log_z
+        return _GeneralIterate(
+            h_op, (a * log_scale + sp.log_t) / (a - 1.0) if finite else math.inf,
+            (sp.noise + _UNIT_ROUNDOFF * a * abs(log_scale)) / abs(a - 1.0),
+            float(np.linalg.eigvalsh(r - np.diag(floor))[-1]) - 1.0 if finite else math.inf,
+            h, u, g, p1, bv, sp, q)
 
-    sigma = partial_trace(rho, dims, keep="B")
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    value, proposal = evaluate(sigma)
-    converged = False
-    for _ in range(_GENERAL_MAX_ITER):
-        tau = 1.0
-        accepted = None
-        stalled_gap = None
-        for _ in range(10):
-            if tau == 1.0:
-                cand = proposal
-            else:
-                log_mix = ((1.0 - tau) * matrix_log2(sigma, 1e-30)
-                           + tau * matrix_log2(proposal, 1e-30))
-                w, v = np.linalg.eigh(0.5 * (log_mix + log_mix.conj().T))
-                cand = (v * 2.0**w) @ v.conj().T
-                cand /= np.trace(cand).real
-            v_cand, p_cand = evaluate(cand)
-            if sense * (v_cand - value) <= 1e-18:
-                accepted = (cand, v_cand, p_cand)
-                break
-            stalled_gap = abs(v_cand - value)
-            tau *= 0.5
-        if accepted is None:
-            # every damped step was worse; a sub-tolerance gap means the
-            # iteration is jittering at its stationary point
-            converged = (stalled_gap is not None
-                         and stalled_gap < _GENERAL_VALUE_TOL * max(1.0, abs(value)))
-            break
-        sigma, new_value, proposal = accepted
-        if abs(new_value - value) < _GENERAL_VALUE_TOL * max(1.0, abs(new_value)):
-            value = new_value
-            converged = True
-            break
-        value = new_value
+    def newton_step(it: _GeneralIterate) -> tuple[float, np.ndarray]:
+        lift = 2.0 * c * basis  # the directions of y = 2c h
+        s = it.g.diagonal()
+        grad = np.einsum("ji,pij->p", np.diag(s) - it.p1 * it.q, basis).real
+        drift = np.einsum("i,pii->p", s, basis).real  # gradient of log tr e^H
+        n_dot = np.einsum("air,pij,ajs->prs", it.bv.conj(), it.p1 * lift, it.bv) / it.sp.top
+        kept = it.sp.x > 0.0
+        f1 = np.where(kept[:, None] & kept[None, :],
+                      _power_divided_differences(np.where(kept, it.sp.x, 1.0), a - 1.0), 0.0)
+        second = np.einsum("ji,ikj,pik,qkj->pq", it.q, _exp_second_dd(2.0 * c * it.h), lift, lift)
+        trace_dd = a * ((second + second.T).real
+                        + np.einsum("mn,pmn,qnm->pq", f1, n_dot, n_dot).real / it.sp.t)
+        hess = (np.einsum("ij,pij,qij->pq", it.g, basis, basis.conj()).real
+                - np.outer(drift, drift) + trace_dd / (a - 1.0)
+                - (a - 1.0) * np.outer(grad - drift, grad - drift))
+        jacobi = 1.0 / np.sqrt(np.maximum(np.abs(hess.diagonal()), 1e-300))
+        mu, vec = np.linalg.eigh(hess * np.outer(jacobi, jacobi))
+        mu = np.maximum(np.abs(mu), 1e-12 * np.abs(mu).max())
+        theta = -jacobi * (vec @ ((vec.T @ (jacobi * grad)) / mu))
+        return float(grad @ theta), it.u @ np.einsum("p,pij->ij", theta, basis) @ it.u.conj().T
 
-    if not converged:
-        # direct search over sigma = L L^dag / tr, L complex lower-triangular
-        tril = np.tril_indices(dim_b)
-        n_par = 2 * len(tril[0])
-
-        def unpack(z):
-            low = np.zeros((dim_b, dim_b), dtype=complex)
-            half = len(tril[0])
-            low[tril] = z[:half] + 1j * z[half:]
-            s = low @ low.conj().T
-            tr = np.trace(s).real
-            return s / tr if tr > 0 else np.eye(dim_b) / dim_b
-
-        def objective(z):
-            return sense * evaluate(unpack(z))[0]
-
-        w0, v0 = np.linalg.eigh(sigma)
-        l0 = v0 * np.sqrt(np.clip(w0, 1e-12, None))
-        z0 = np.concatenate([l0[tril].real, l0[tril].imag])
-        res = nelder_mead(objective, initial_simplex(z0, 0.1),
-                          f_tol=1e-13, max_iter=400 * n_par)
-        value = min(sense * value, res.fun) * sense
-        if not res.converged:
-            warnings.warn("marginal optimization did not reach tolerance; "
-                          "returning best value found", ConvergenceWarning, stacklevel=2)
-    return math.log2(value) / (1.0 - a)
+    it = _certified_newton(evaluate, newton_step, np.diag(np.log(w_b[w_b > 0.0])).astype(complex),
+                           a, "general sandwiched Newton solve", "lambda_max(R) - 1",
+                           stacklevel=3)
+    return float(-it.merit / LN2)

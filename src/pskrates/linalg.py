@@ -59,20 +59,18 @@ def eig(matrix) -> Spectrum:
     return Spectrum(w, v)
 
 
-def support_spectrum(matrix, support_cutoff: float = SUPPORT_CUTOFF) -> Spectrum:
+def support_spectrum(matrix) -> Spectrum:
     """Spectrum of a PSD Hermitian matrix with its support marked.
 
-    Eigenvalues at or below ``support_cutoff * max(eigenvalue)`` are set to
+    Eigenvalues at or below ``SUPPORT_CUTOFF * max(eigenvalue)`` are set to
     exactly zero; the positive ones are the support. Rejects matrices with a
     negative eigenvalue beyond ``HERMITICITY_TOL``.
     """
-    if support_cutoff <= 0:
-        raise ValueError("support_cutoff must be positive")
     w, v = eig(matrix)
     top = float(w[-1]) if w.size else 0.0
     if w.size and float(w[0]) < -HERMITICITY_TOL * max(1.0, top):
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    w[w <= support_cutoff * max(top, 0.0)] = 0.0
+    w[w <= SUPPORT_CUTOFF * max(top, 0.0)] = 0.0
     return Spectrum(w, v)
 
 
@@ -97,13 +95,14 @@ def matrix_power(matrix, p: float) -> np.ndarray:
     return apply_on_support(support_spectrum(matrix), lambda lam: lam**p)
 
 
-def matrix_log2(matrix, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_log2(matrix) -> np.ndarray:
     """Base-2 logarithm of a PSD Hermitian matrix, zero off the support.
 
-    The off-support convention is safe because the result is only ever used
-    inside traces against states living on that support.
+    Eigenvalues at or below ``SUPPORT_CUTOFF * max(eigenvalue)`` count as
+    off the support. The off-support convention is safe because the result
+    is only ever used inside traces against states living on that support.
     """
-    return apply_on_support(support_spectrum(matrix, support_cutoff), np.log2)
+    return apply_on_support(support_spectrum(matrix), np.log2)
 
 
 def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:

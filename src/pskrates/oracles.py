@@ -227,47 +227,47 @@ class DualityReport:
     mixed_residual: float
     sandwich_residual: float
     states_tested: int
-    petz_tol: ClassVar[float] = 1e-8
-    mixed_tol: ClassVar[float] = 1e-8
-    sandwich_tol: ClassVar[float] = 1e-6
+    #: Largest residual allowed to each identity; working code leaves less
+    #: than 1e-13 on the default states.
+    tol: ClassVar[float] = 1e-8
 
     @property
     def passed(self) -> bool:
-        return (self.petz_residual <= self.petz_tol
-                and self.mixed_residual <= self.mixed_tol
-                and self.sandwich_residual <= self.sandwich_tol)
+        return max(self.petz_residual, self.mixed_residual, self.sandwich_residual) <= self.tol
 
 
-def duality_suite(seeds) -> DualityReport:
+def duality_suite(states) -> DualityReport:
     """Check the three entropy duality identities on random pure states.
 
-    On a pure tripartite state: the Petz entropies of (A|B) at order a and
+    State k of ``states`` (integers) is the random pure state
+    of seed k // 2 with the dimension triple DUAL_DIMS[k % 2], so
+    range(2 s, 2 s + 2 m) covers seeds s .. s + m - 1 with both triples. On
+    a pure tripartite state: the Petz entropies of (A|B) at order a and
     (A|C) at 2-a sum to zero; the optimized Petz at a cancels the sandwiched
     at 1/a; and the optimized sandwiched entropies at orders a, b with
     1/a + 1/b = 2 cancel. Residuals are reported as maxima over all tested
-    seeds, orders and the dimension triples of ``DUAL_DIMS``. Module-level
-    lookups keep the entropy functions monkeypatchable for negative controls.
+    states and orders. Module-level lookups keep the entropy functions
+    monkeypatchable for negative controls.
     """
     petz_res = mixed_res = sandwich_res = 0.0
     tested = 0
-    for dims in DUAL_DIMS:
+    for state in states:
+        dims = DUAL_DIMS[state % 2]
         d_a, d_b, d_c = dims
-        for seed in seeds:
-            psi = random_pure_tripartite(dims, seed)
-            rho_ab, rho_ac = marginal_pair(psi, dims)
-            tested += 1
-            for a in DUAL_PETZ_ORDERS:
-                res = (entropies.petz_down_general(rho_ab, (d_a, d_b), a)
-                       + entropies.petz_down_general(rho_ac, (d_a, d_c), 2.0 - a))
-                petz_res = max(petz_res, abs(res))
-            for a in DUAL_MIXED_ORDERS:
-                res = (entropies.petz_up_general(rho_ab, (d_a, d_b), a)
-                       + entropies.sandwiched_down_general(rho_ac, (d_a, d_c), 1.0 / a))
-                mixed_res = max(mixed_res, abs(res))
-            for a in DUAL_SANDWICH_ORDERS:
-                b = a / (2.0 * a - 1.0)
-                res = (entropies.sandwiched_up_general(rho_ab, (d_a, d_b), a)
-                       + entropies.sandwiched_up_general(rho_ac, (d_a, d_c), b))
-                sandwich_res = max(sandwich_res, abs(res))
+        rho_ab, rho_ac = marginal_pair(random_pure_tripartite(dims, state // 2), dims)
+        tested += 1
+        for a in DUAL_PETZ_ORDERS:
+            res = (entropies.petz_down_general(rho_ab, (d_a, d_b), a)
+                   + entropies.petz_down_general(rho_ac, (d_a, d_c), 2.0 - a))
+            petz_res = max(petz_res, abs(res))
+        for a in DUAL_MIXED_ORDERS:
+            res = (entropies.petz_up_general(rho_ab, (d_a, d_b), a)
+                   + entropies.sandwiched_down_general(rho_ac, (d_a, d_c), 1.0 / a))
+            mixed_res = max(mixed_res, abs(res))
+        for a in DUAL_SANDWICH_ORDERS:
+            b = a / (2.0 * a - 1.0)
+            res = (entropies.sandwiched_up_general(rho_ab, (d_a, d_b), a)
+                   + entropies.sandwiched_up_general(rho_ac, (d_a, d_c), b))
+            sandwich_res = max(sandwich_res, abs(res))
     return DualityReport(petz_residual=petz_res, mixed_residual=mixed_res,
                          sandwich_residual=sandwich_res, states_tested=tested)

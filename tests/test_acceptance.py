@@ -234,17 +234,16 @@ def test_criterion_6_monotonicity():
 
 def test_criterion_7_duality():
     """Duality identities on 200 random pure tripartite states."""
-    report = duality_suite(range(100))
+    report = duality_suite(range(200))
     assert report.states_tested == 200
     ok = report.passed
     _report(7, "duality suite", ok,
-            f"residuals petz {report.petz_residual:.2e} (tol 1e-8), mixed "
-            f"{report.mixed_residual:.2e} (tol 1e-8), sandwich "
-            f"{report.sandwich_residual:.2e} (tol 1e-6) on "
-            f"{report.states_tested} states")
-    assert report.petz_residual <= report.petz_tol
-    assert report.mixed_residual <= report.mixed_tol
-    assert report.sandwich_residual <= report.sandwich_tol
+            f"residuals petz {report.petz_residual:.2e}, mixed "
+            f"{report.mixed_residual:.2e}, sandwich {report.sandwich_residual:.2e} "
+            f"(tol {report.tol:g}) on {report.states_tested} states")
+    assert report.petz_residual <= report.tol
+    assert report.mixed_residual <= report.tol
+    assert report.sandwich_residual <= report.tol
 
 
 def test_criterion_8_monte_carlo():

@@ -305,6 +305,15 @@ class TestSweep:
                 single += parse_csv(out)[1]
             assert parse_csv(serial)[1] == single
 
+    def test_worker_count_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSKRATES_WORKERS", "two")
+        code, out, err = run_cli(capsys, "sweep", "--variable", "eta", "--from", "0.2",
+                                 "--to", "0.8", "--points", "2", "--quantity", "entropies",
+                                 "--protocol", "bpsk", "--alpha", "1")
+        assert code == EXIT_PARAMS
+        assert "PSKRATES_WORKERS" in err and "'two'" in err
+        assert out == ""
+
     def test_order_flag_alias(self, capsys):
         code, out, _ = run_cli(capsys, "entropies", "--protocol", "bpsk",
                                "--alpha", "1", "--eta", "0.6", "--a", "1.3")
@@ -341,6 +350,19 @@ class TestVerify:
                                "--duality-states", "8")
         assert code == EXIT_OK
         assert "pass  duality/petz" in out
+
+    def test_duality_suite_tests_the_requested_count(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "duality",
+                               "--duality-states", "3")
+        assert code == EXIT_OK
+        assert out.count("over 3 states") == 3
+
+    def test_duality_suite_certifies_a_hard_state(self, capsys):
+        # this state set once left a sandwich residual of 2.9e-4 (exit 2)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "duality",
+                               "--duality-states", "16", "--seed", "447924764")
+        assert code == EXIT_OK
+        assert "pass  duality/sandwich" in out and "over 16 states" in out
 
     @pytest.mark.parametrize("flag, value", [
         ("--duality-states", "1"), ("--duality-states", "0"),

@@ -29,7 +29,7 @@ from pskrates.entropies import (
     von_neumann_cq,
 )
 from pskrates.linalg import matrix_power, random_density
-from pskrates.oracles import assemble_cq_state
+from pskrates.oracles import assemble_cq_state, marginal_pair
 from pskrates.optimize import initial_simplex, nelder_mead
 from pskrates.states import ProtocolParams, build_ensemble
 
@@ -236,15 +236,19 @@ class TestSandwichedUpInvariant:
 
     def test_restricted_equals_unrestricted_bpsk(self):
         # oracle 1: general optimization on the assembled block state, at
-        # three points and on the grid of the QPSK equality below
+        # three points and on the grid of the QPSK equality below, up to
+        # a = 64, where the general search once returned 2.4557 bits > log2 2
         points = [(1.0, 0.6, 1.2), (0.95, 0.9, 2.0), (1.05, 0.9, 4.0)]
-        points += [(alpha, 0.7, a) for alpha in (0.6, 1.0, 1.5) for a in (1.2, 2.0, 3.0)]
+        points += [(alpha, 0.7, a) for alpha in (0.6, 1.0, 1.5)
+                   for a in (1.2, 2.0, 3.0, 32.0, 64.0)]
         for (alpha, eta, a) in points:
             ensemble = build_ensemble(ProtocolParams(2, alpha, eta))
             rho, _ = assemble_cq_state(ensemble)
-            general = sandwiched_up_general(rho, (2, 2), a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                general = sandwiched_up_general(rho, (2, 2), a)
             restricted = sandwiched_up_invariant(ensemble, a)
-            assert abs(general - restricted) <= 1e-8
+            assert abs(general - restricted) <= 1e-10
 
     def test_two_state_search_matches_eigensolver_minimum(self):
         # oracle 3: Nelder-Mead from three log-odds starts on the eigvalsh
@@ -398,13 +402,28 @@ class TestSandwichedUpInvariant:
     def test_restricted_equals_unrestricted_qpsk(self):
         # the invariant restriction is exact for a >= 1/2 (joint
         # quasi-convexity plus the P_t x U_t invariance of rho_YE), so the
-        # general search over all marginals must land on the same value
+        # general search over all marginals must land on the same value;
+        # at alpha = 0.6, a = 64 it once fell 0.087 bits below it
         for alpha in (0.6, 1.0, 1.5):
             ensemble = build_ensemble(ProtocolParams(4, alpha, 0.7))
             rho, _ = assemble_cq_state(ensemble)
-            for a in (1.2, 2.0, 3.0):
-                general = sandwiched_up_general(rho, (4, 4), a)
-                assert abs(general - sandwiched_up_invariant(ensemble, a)) <= 1e-8
+            for a in (1.2, 2.0, 3.0, 32.0, 64.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    general = sandwiched_up_general(rho, (4, 4), a)
+                assert abs(general - sandwiched_up_invariant(ensemble, a)) <= 1e-10
+
+    @pytest.mark.parametrize("a", [16.0, 0.7])
+    def test_uncertified_general_solve_names_order_gap_and_tolerance(self, monkeypatch, a):
+        monkeypatch.setattr(entropies, "_NEWTON_MAX_ITER", 0)
+        rho, _ = assemble_cq_state(build_ensemble(ProtocolParams(4, 1.0, 0.7)))
+        with pytest.warns(ConvergenceWarning) as record:
+            value = sandwiched_up_general(rho, (4, 4), a)
+        message = str(record[0].message)
+        assert f"general sandwiched Newton solve at a={a:g} did not certify" in message
+        assert "gap" in message and "tolerance 6.93e-13" in message
+        assert "lambda_max(R) - 1" in message
+        assert math.isfinite(value)
 
     def test_orders_below_half_are_refused(self, bpsk_ref, qpsk_ref):
         # the trace is not concave there and invariant states need not be
@@ -536,6 +555,42 @@ class TestGeneralEntropies:
         rho = random_density(4, seed=77)
         with pytest.raises(ValueError, match="1/2"):
             sandwiched_up_general(rho, (2, 2), 0.3)
+
+    def test_general_solve_rejects_steps_that_underflow_sigma(self):
+        # Schmidt weights 1, 1e-4, 1e-8, 1e-12 across AB|C: at a = 64 a
+        # trial Newton step sends an eigenvalue of sigma below the smallest
+        # double, which once raised LinAlgError (and overflow warnings); the
+        # line search must reject it and the duality must still hold
+        rng = philox_rng(34)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
+        weights = np.array([1.0, 1e-4, 1e-8, 1e-12])
+        psi = (q * np.sqrt(weights / weights.sum())).reshape(-1)
+        rho_ab, rho_ac = marginal_pair(psi, (2, 3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual = (sandwiched_up_general(rho_ab, (2, 3), 64.0)
+                        + sandwiched_up_general(rho_ac, (2, 4), 64.0 / 127.0))
+        assert abs(residual) <= 1e-10
+
+
+def test_weight_on_the_support_cut_keeps_log2_n():
+    # at eta = 0 Bob's outcome is independent of Eve's state, so every
+    # conditional entropy is log2 2 = 1 bit. At alpha = 1e-6,
+    # rho_E = diag(1 - 1e-12, 1e-12) puts its second weight on the relative
+    # cut; dropping it lowers each Renyi value by log2(1 - 1e-12) / (a - 1),
+    # 1.4e-9 bits at a = 0.999
+    ensemble = build_ensemble(ProtocolParams(2, 1e-6, 0.0))
+    assert abs(sandwiched_up_invariant(ensemble, 0.999) - 1.0) <= 1e-10
+
+
+def test_sandwiched_down_keeps_small_weights_above_one():
+    # above order 1 no eigenvalue of M is cut: at alpha = 1e-6, eta = 0.25
+    # M has a 7.5e-13 relative eigenvalue, and cutting it lifted sand_down
+    # to 1.0000000010819574 at a = 1.001, above sand_up (truth 1)
+    ensemble = build_ensemble(ProtocolParams(2, 1e-6, 0.25))
+    down = sandwiched_down_cq(ensemble, 1.001)
+    assert abs(down - 1.0) <= 1e-10
+    assert down <= sandwiched_up_invariant(ensemble, 1.001) + 1e-12
 
 
 def test_entropy_report_consistency(bpsk_ref):
