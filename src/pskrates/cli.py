@@ -5,20 +5,18 @@ Output is CSV on stdout (or a file for sweeps) with a single ``#`` comment
 line recording the invocation, 12 significant digits, no locale formatting.
 Exit status: 0 success, 1 parameter error, 2 verification failure,
 3 optimizer non-convergence. Entropies and rates are in bits per channel
-use. The PSKRATES_WORKERS environment variable sets the sweep worker-pool
-size (default 1; rows are emitted in input order either way).
+use. A ``sweep --variable n --quantity rate`` makes one ``optimize_rate``
+call per estimator over the whole grid, so each estimator's entropy grid is
+computed once; rows come by n, then by estimator as listed.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -129,40 +127,34 @@ _RATE_HEADER = ["estimator", "n", "eta", "rate", "alpha_opt", "a_opt", "leak",
                 "key_possible"]
 
 
-def _single_rate(args, spec: rates.Estimator) -> rates.RateResult:
+def _single_rate(args, spec: rates.Estimator, n: float) -> rates.RateResult:
     if args.alpha is None:
         raise _ParameterError("--alpha is required without --optimize")
     if spec.takes_order and args.order is None:
         raise _ParameterError(f"--order is required for estimator {spec.name}")
     params = _protocol_params(args)
-    sp = rates.SecurityParams(n=args.n, eps=args.eps, eps_prime=args.eps_prime,
-                              a=args.order)
+    sp = rates.SecurityParams(n=n, eps=args.eps, eps_prime=args.eps_prime, a=args.order)
     value = spec.rate(build_ensemble(params), sp)
     return rates.RateResult(estimator=spec.name, rate=value, alpha_opt=args.alpha,
                             a_opt=args.order if spec.takes_order else None,
                             leak=rates.leak(params), key_possible=value > 0.0)
 
 
-def _rate_rows(args) -> tuple[list, bool]:
-    """One row per listed estimator, optimized or at the given point."""
+def _rate_rows(args, ns: list[float]) -> tuple[list, bool]:
+    """One row per block size and listed estimator, in that order."""
     specs = [rates.estimator_spec(name) for name in args.estimator.split(",")]
-    rows = []
-    converged = True
-    for spec in specs:
-        if args.optimize:
-            result = rates.optimize_rate(
-                spec.name, PROTOCOL_SIZES[args.protocol], args.eta, args.n,
-                eps=args.eps, eps_prime=args.eps_prime, a_max=args.a_max)
-        else:
-            result = _single_rate(args, spec)
-        converged = converged and result.converged
-        rows.append([result.estimator, args.n, args.eta, result.rate, result.alpha_opt,
-                     result.a_opt, result.leak, result.key_possible])
-    return rows, converged
+    if args.optimize:
+        columns = [rates.optimize_rate(spec.name, PROTOCOL_SIZES[args.protocol], args.eta, ns,
+                                       args.eps, args.eps_prime, args.a_max) for spec in specs]
+    else:
+        columns = [[_single_rate(args, spec, n) for n in ns] for spec in specs]
+    rows = [[r.estimator, n, args.eta, r.rate, r.alpha_opt, r.a_opt, r.leak, r.key_possible]
+            for n, results in zip(ns, zip(*columns)) for r in results]
+    return rows, all(r.converged for column in columns for r in column)
 
 
 def _cmd_rate(args) -> int:
-    rows, converged = _rate_rows(args)
+    rows, converged = _rate_rows(args, [args.n])
     _emit(sys.stdout, args._invocation, _RATE_HEADER, rows)
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
@@ -180,20 +172,22 @@ def _sweep_grid(args) -> np.ndarray:
 
 
 def _sweep_point(args, value: float):
-    """Evaluate one sweep grid point; module-level for process pools."""
+    """Rows and convergence of one grid point of an eta, alpha or a sweep."""
     args = copy.copy(args)
     setattr(args, args.variable if args.variable != "a" else "order", value)
     if args.quantity == "entropies":
         return [_entropy_row(_protocol_params(args), args.order, args.path)], True
-    return _rate_rows(args)
+    return _rate_rows(args, [args.n])
 
 
 def _cmd_sweep(args) -> int:
-    grid = _sweep_grid(args)
+    grid = _sweep_grid(args).tolist()
     if args.eta is None and args.variable != "eta":
         raise _ParameterError("--eta is required unless it is the swept variable")
     if args.quantity == "entropies":
         header = _entropy_header(args)
+        if args.variable == "n":
+            raise _ParameterError("entropies do not depend on n; sweep eta, alpha or a")
         if args.alpha is None and args.variable != "alpha":
             raise _ParameterError("entropy sweeps need --alpha unless it is swept")
     else:
@@ -204,20 +198,12 @@ def _cmd_sweep(args) -> int:
         if not args.optimize and args.alpha is None and args.variable != "alpha":
             raise _ParameterError("rate sweeps need --alpha or --optimize")
 
-    point = functools.partial(_sweep_point, args)
-    raw_workers = os.environ.get("PSKRATES_WORKERS", "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        raise _ParameterError(f"PSKRATES_WORKERS must be an integer, got {raw_workers!r}") from None
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, grid.tolist()))
+    if args.variable == "n":  # one call per estimator over the whole grid
+        rows, converged = _rate_rows(args, grid)
     else:
-        results = [point(v) for v in grid.tolist()]
-
-    rows = [row for chunk, _ in results for row in chunk]
-    converged = all(ok for _, ok in results)
+        results = [_sweep_point(args, value) for value in grid]
+        rows = [row for chunk, _ in results for row in chunk]
+        converged = all(ok for _, ok in results)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             _emit(fh, args._invocation, header, rows)

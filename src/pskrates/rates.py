@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,28 +133,17 @@ def _hash_term(sp: SecurityParams) -> float:
 
 def rate_s(ensemble: CQEnsemble, sp: SecurityParams) -> float:
     """Key-rate bound from the optimized sandwiched Rényi entropy (a > 1)."""
-    if sp.a is None or sp.a <= 1.0:
-        raise ValueError("the S estimator needs a Renyi order a > 1")
-    h = entropies.sandwiched_up_invariant(ensemble, sp.a)
-    return float(h + _hash_term(sp) - g_eps(sp.eps) / (sp.n * (sp.a - 1.0))
-                 - leak(ensemble.params))
+    return ESTIMATORS["S"].rate(ensemble, sp)
 
 
 def rate_aep(ensemble: CQEnsemble, sp: SecurityParams) -> float:
     """Key-rate bound from the asymptotic equipartition property."""
-    h = entropies.von_neumann_cq(ensemble)
-    return float(h + _hash_term(sp)
-                 - delta_eps(sp.eps, ensemble.n_states) / math.sqrt(sp.n)
-                 - leak(ensemble.params))
+    return ESTIMATORS["AEP"].rate(ensemble, sp)
 
 
 def rate_b(ensemble: CQEnsemble, sp: SecurityParams) -> float:
     """Key-rate bound from the von Neumann continuity bound (a in (1, 2))."""
-    if sp.a is None:
-        raise ValueError("the B estimator needs a Renyi order in (1, 2)")
-    b = entropies.continuity_bound(ensemble, sp.a)
-    return float(b + _hash_term(sp) - g_eps(sp.eps) / (sp.n * (sp.a - 1.0))
-                 - leak(ensemble.params))
+    return ESTIMATORS["B"].rate(ensemble, sp)
 
 
 @dataclass(frozen=True)
@@ -173,20 +163,36 @@ class RateResult:
 class Estimator:
     """One row of the estimator table.
 
-    ``rate_fn`` names the module-level rate function, looked up at each call.
-    An order cap above ``a_max_limit`` is an error, or clamped to it when
-    ``clamp_a_max`` is set (the continuity coefficient's pole).
+    ``entropy_fn`` names the ``entropies`` function of the n-independent
+    entropy term, looked up at each call. An order cap above ``a_max_limit``
+    is an error, or clamped to it when ``clamp_a_max`` is set (the continuity
+    coefficient's pole).
     """
 
     name: str
-    rate_fn: str
+    entropy_fn: str
     takes_order: bool
     a_max_default: float | None = None
     a_max_limit: float | None = None
     clamp_a_max: bool = False
 
     def rate(self, ensemble: CQEnsemble, sp: SecurityParams) -> float:
-        return globals()[self.rate_fn](ensemble, sp)
+        if self.takes_order and (sp.a is None or sp.a <= 1.0):
+            raise ValueError(f"the {self.name} estimator needs a Renyi order a > 1, got {sp.a}")
+        return self.key_rate(self.entropy(ensemble, sp.a), sp, ensemble.n_states,
+                             leak(ensemble.params))
+
+    def entropy(self, ensemble: CQEnsemble, a: float | None) -> float:
+        fn = getattr(entropies, self.entropy_fn)
+        return fn(ensemble, a) if self.takes_order else fn(ensemble)
+
+    def key_rate(self, h: float, sp: SecurityParams, n_states: int, leak_value: float) -> float:
+        """Entropy term + hash term - correction - leak, in that order."""
+        if self.takes_order:
+            correction = g_eps(sp.eps) / (sp.n * (sp.a - 1.0))
+        else:
+            correction = delta_eps(sp.eps, n_states) / math.sqrt(sp.n)
+        return float(h + _hash_term(sp) - correction - leak_value)
 
     def order_cap(self, a_max: float | None) -> float:
         """The validated upper end of the Rényi-order search."""
@@ -199,9 +205,9 @@ class Estimator:
 
 
 ESTIMATORS = {
-    "S": Estimator("S", "rate_s", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT),
-    "AEP": Estimator("AEP", "rate_aep", False),
-    "B": Estimator("B", "rate_b", True, entropies.CONTINUITY_A_MAX,
+    "S": Estimator("S", "sandwiched_up_invariant", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT),
+    "AEP": Estimator("AEP", "von_neumann_cq", False),
+    "B": Estimator("B", "continuity_bound", True, entropies.CONTINUITY_A_MAX,
                    entropies.CONTINUITY_A_MAX, clamp_a_max=True),
 }
 
@@ -218,106 +224,121 @@ def optimize_rate(
     estimator: str,
     n_states: int,
     eta: float,
-    n: float,
+    ns: Sequence[float],
     eps: float = 1e-8,
     eps_prime: float = 1e-8,
     a_max: float | None = None,
-) -> RateResult:
-    """Maximize an estimator over the amplitude and the Rényi order.
+) -> list[RateResult]:
+    """Maximize an estimator over the amplitude and the Rényi order at each block size.
 
-    A coarse grid scan over alpha in ``ALPHA_BOUNDS`` (``GRID_POINTS`` per
-    axis; the order axis is gridded in log(a - 1)) locates the basin, then
-    Nelder-Mead refines from the best three grid points. Ties in the scan
-    break toward the lexicographically smallest (alpha, a). The AEP
-    estimator has no order parameter and is optimized over alpha alone.
-    Negative optima are returned as computed, flagged by ``key_possible``.
+    Returns one result per entry of ``ns``, in order. A coarse grid scan over
+    alpha in ``ALPHA_BOUNDS`` (``GRID_POINTS`` per axis; the order axis is
+    gridded in log(a - 1)) locates the basin, then Nelder-Mead refines from
+    the best three grid points; ties in the scan break toward the smallest
+    (alpha, a). AEP has no order and is optimized over alpha alone. Negative
+    optima are returned as computed, flagged by ``key_possible``. Each
+    point's entropy term and leak are computed once per call, as they do not
+    depend on n; a result equals that of a one-element call bit for bit.
 
-    ConvergenceWarnings of the entropy evaluations are collected: if any
-    arose, the result has ``converged=False`` and one ConvergenceWarning
-    after the search names the estimator, n and the first (alpha, a) that
-    warned.
+    A ConvergenceWarning of an entropy term counts at every block size that
+    uses it: that result has ``converged=False``, and one ConvergenceWarning
+    names the estimator, n and the first (alpha, a) that warned.
     """
     spec = estimator_spec(estimator)
     if spec.takes_order:
         log_a_hi = math.log(spec.order_cap(a_max) - 1.0)
     lo, hi = ALPHA_BOUNDS
+    log_a_lo = math.log(_A_GRID_OFFSET_MIN)
 
     ensembles: dict[float, CQEnsemble] = {}
-    log_a_lo = math.log(_A_GRID_OFFSET_MIN)
-    base = SecurityParams(n=n, eps=eps, eps_prime=eps_prime)
-    warned: list = []  # (alpha, a, message) of every ConvergenceWarning
+    # (alpha, log_a) -> (a, entropy term, leak, ConvergenceWarning messages)
+    terms: dict[tuple, tuple] = {}
 
-    def evaluate(alpha: float, log_a: float | None) -> float:
-        key = float(alpha)
-        if key not in ensembles:
-            ensembles[key] = build_ensemble(
-                ProtocolParams(n_states=n_states, alpha=key, eta=eta))
-        sp = base if log_a is None else SecurityParams(
-            n=n, eps=eps, eps_prime=eps_prime, a=1.0 + math.exp(log_a))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", entropies.ConvergenceWarning)
-            value = spec.rate(ensembles[key], sp)
-        for w in caught:
-            if issubclass(w.category, entropies.ConvergenceWarning):
-                warned.append((key, sp.a, str(w.message)))
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        return value
+    def term(alpha: float, log_a: float | None) -> tuple:
+        key = (alpha, log_a)
+        if key not in terms:
+            if alpha not in ensembles:
+                ensembles[alpha] = build_ensemble(ProtocolParams(n_states, alpha, eta))
+            a = None if log_a is None else 1.0 + math.exp(log_a)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", entropies.ConvergenceWarning)
+                h = spec.entropy(ensembles[alpha], a)
+            for w in caught:
+                if not issubclass(w.category, entropies.ConvergenceWarning):
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            terms[key] = (a, h, leak(ensembles[alpha].params), [
+                str(w.message) for w in caught
+                if issubclass(w.category, entropies.ConvergenceWarning)])
+        return terms[key]
 
-    alphas = np.linspace(lo, hi, GRID_POINTS)
+    alphas = np.linspace(lo, hi, GRID_POINTS).tolist()
     if spec.takes_order:
-        log_as = np.linspace(log_a_lo, log_a_hi, GRID_POINTS)
-        scored = [(evaluate(al, la), (al, la)) for al in alphas for la in log_as]
+        log_as = np.linspace(log_a_lo, log_a_hi, GRID_POINTS).tolist()
+        grid = [(al, la) for al in alphas for la in log_as]
     else:
-        scored = [(evaluate(al, None), (al,)) for al in alphas]
-    # deterministic reduction: max by value, ties to smallest parameters
-    scored.sort(key=lambda item: (-item[0], item[1]))
+        grid = [(al,) for al in alphas]
 
-    dim = 2 if spec.takes_order else 1
-    simplex = [np.array(scored[i][1]) for i in range(dim + 1)]
-    if dim == 2:
-        span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
-        if abs(np.linalg.det(span)) < 1e-12:  # collinear grid points stall NM
-            step_alpha = (hi - lo) / (GRID_POINTS - 1)
-            step_log_a = (log_a_hi - log_a_lo) / (GRID_POINTS - 1)
-            if abs(simplex[1][0] - simplex[0][0]) < 1e-12:
-                simplex[2] = simplex[0] + np.array([step_alpha, 0.0])
-            else:
-                simplex[2] = simplex[0] + np.array([0.0, step_log_a])
-    elif abs(simplex[1][0] - simplex[0][0]) < 1e-12:
-        simplex[1] = simplex[0] + np.array([(hi - lo) / (GRID_POINTS - 1)])
+    def search(base: SecurityParams) -> RateResult:
+        warned: list = []  # (alpha, a, message) of every ConvergenceWarning
 
-    def clip(x: np.ndarray) -> tuple[float, float | None]:
-        alpha = float(min(max(x[0], lo), hi))
-        if not spec.takes_order:
-            return alpha, None
-        log_a = float(min(max(x[1], math.log(A_MIN_OFFSET)), log_a_hi))
-        return alpha, log_a
+        def evaluate(alpha: float, log_a: float | None = None) -> float:
+            a, h, leak_value, messages = term(alpha, log_a)
+            sp = SecurityParams(n=base.n, eps=eps, eps_prime=eps_prime, a=a)
+            warned.extend((alpha, a, message) for message in messages)
+            return spec.key_rate(h, sp, n_states, leak_value)
 
-    def negated(x: np.ndarray) -> float:
-        return -evaluate(*clip(x))
+        scored = [(evaluate(*point), point) for point in grid]
+        # deterministic reduction: max by value, ties to smallest parameters
+        scored.sort(key=lambda item: (-item[0], item[1]))
 
-    refined = nelder_mead(negated, simplex, f_tol=1e-9, max_iter=500)
-    best_rate = -refined.fun
-    alpha_opt, log_a_opt = clip(refined.x)
-    if scored[0][0] > best_rate:  # keep the grid winner if refinement regressed
-        best_rate = scored[0][0]
-        alpha_opt = scored[0][1][0]
-        log_a_opt = scored[0][1][1] if spec.takes_order else None
+        dim = 2 if spec.takes_order else 1
+        simplex = [np.array(scored[i][1]) for i in range(dim + 1)]
+        if dim == 2:
+            span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
+            if abs(np.linalg.det(span)) < 1e-12:  # collinear grid points stall NM
+                step_alpha = (hi - lo) / (GRID_POINTS - 1)
+                step_log_a = (log_a_hi - log_a_lo) / (GRID_POINTS - 1)
+                if abs(simplex[1][0] - simplex[0][0]) < 1e-12:
+                    simplex[2] = simplex[0] + np.array([step_alpha, 0.0])
+                else:
+                    simplex[2] = simplex[0] + np.array([0.0, step_log_a])
+        elif abs(simplex[1][0] - simplex[0][0]) < 1e-12:
+            simplex[1] = simplex[0] + np.array([(hi - lo) / (GRID_POINTS - 1)])
 
-    a_opt = 1.0 + math.exp(log_a_opt) if spec.takes_order else None
-    if warned:
-        alpha_w, a_w, message = warned[0]
-        at = f"alpha={alpha_w:.6g}" + ("" if a_w is None else f", a={a_w:.6g}")
-        warnings.warn(f"{spec.name} rate at n={n:g}: {len(warned)} entropy evaluation(s) "
-                      f"did not converge, first at {at} ({message})",
-                      entropies.ConvergenceWarning, stacklevel=2)
-    return RateResult(
-        estimator=spec.name,
-        rate=float(best_rate),
-        alpha_opt=float(alpha_opt),
-        a_opt=a_opt,
-        leak=leak(ProtocolParams(n_states=n_states, alpha=alpha_opt, eta=eta)),
-        key_possible=bool(best_rate > 0.0),
-        converged=bool(refined.converged) and not warned,
-    )
+        def clip(x: np.ndarray) -> tuple[float, float | None]:
+            alpha = float(min(max(x[0], lo), hi))
+            if not spec.takes_order:
+                return alpha, None
+            log_a = float(min(max(x[1], math.log(A_MIN_OFFSET)), log_a_hi))
+            return alpha, log_a
+
+        def negated(x: np.ndarray) -> float:
+            return -evaluate(*clip(x))
+
+        refined = nelder_mead(negated, simplex, f_tol=1e-9, max_iter=500)
+        best_rate = -refined.fun
+        alpha_opt, log_a_opt = clip(refined.x)
+        if scored[0][0] > best_rate:  # keep the grid winner if refinement regressed
+            best_rate = scored[0][0]
+            alpha_opt = scored[0][1][0]
+            log_a_opt = scored[0][1][1] if spec.takes_order else None
+
+        if warned:
+            alpha_w, a_w, message = warned[0]
+            at = f"alpha={alpha_w:.6g}" + ("" if a_w is None else f", a={a_w:.6g}")
+            warnings.warn(f"{spec.name} rate at n={base.n:g}: {len(warned)} entropy "
+                          f"evaluation(s) did not converge, first at {at} ({message})",
+                          entropies.ConvergenceWarning, stacklevel=3)
+        return RateResult(
+            estimator=spec.name,
+            rate=float(best_rate),
+            alpha_opt=float(alpha_opt),
+            a_opt=1.0 + math.exp(log_a_opt) if spec.takes_order else None,
+            leak=leak(ProtocolParams(n_states=n_states, alpha=alpha_opt, eta=eta)),
+            key_possible=bool(best_rate > 0.0),
+            converged=bool(refined.converged) and not warned,
+        )
+
+    # every block size is validated before the first search; map calls search
+    # from C, so stacklevel 3 above is the caller of optimize_rate
+    return list(map(search, [SecurityParams(n=n, eps=eps, eps_prime=eps_prime) for n in ns]))

@@ -225,6 +225,16 @@ class TestSweep:
             assert "--optimize searches alpha and a itself" in err
             assert out == ""
 
+    def test_entropy_sweep_over_n_is_parameter_error(self, capsys):
+        # entropies do not depend on n and the CSV has no n column
+        code, out, err = run_cli(capsys, "sweep", "--variable", "n",
+                                 "--from", "1e4", "--to", "1e6", "--points", "3",
+                                 "--quantity", "entropies", "--protocol", "bpsk",
+                                 "--alpha", "1", "--eta", "0.9")
+        assert code == EXIT_PARAMS
+        assert "entropies do not depend on n" in err
+        assert out == ""
+
     def test_unknown_estimator_is_parameter_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--variable", "n",
                                  "--from", "1e4", "--to", "1e5", "--points", "2",
@@ -278,41 +288,21 @@ class TestSweep:
                                "--alpha", "1")
         assert code == EXIT_PARAMS
 
-    @pytest.mark.parametrize("argv", [
-        ("sweep", "--variable", "eta", "--from", "0.2", "--to", "0.8",
-         "--points", "4", "--quantity", "entropies",
-         "--protocol", "bpsk", "--alpha", "1", "--order", "1.2"),
-        ("sweep", "--variable", "n", "--from", "1e4", "--to", "1e6",
-         "--points", "2", "--scale", "log", "--quantity", "rate",
-         "--protocol", "bpsk", "--eta", "0.9", "--optimize",
-         "--estimator", "S,AEP,B"),
-    ], ids=["entropies", "optimized-rate"])
-    def test_worker_pool_preserves_output(self, capsys, monkeypatch, argv):
-        code, serial, _ = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("protocol", ["bpsk", "qpsk"])
+    def test_optimized_n_sweep_matches_one_rate_call_per_n(self, capsys, protocol):
+        code, out, _ = run_cli(capsys, "sweep", "--variable", "n", "--from", "316.23",
+                               "--to", "1e8", "--points", "3", "--scale", "log",
+                               "--quantity", "rate", "--protocol", protocol,
+                               "--eta", "0.9", "--optimize", "--estimator", "S,AEP,B")
         assert code == EXIT_OK
-        monkeypatch.setenv("PSKRATES_WORKERS", "2")
-        code, parallel, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-        assert serial == parallel  # rows in input order, byte-identical
-        if "--optimize" in argv:
-            monkeypatch.delenv("PSKRATES_WORKERS")
-            single = []
-            for n in ("1e4", "1e6"):
-                code, out, _ = run_cli(capsys, "rate", "--protocol", "bpsk",
-                                       "--eta", "0.9", "--n", n, "--optimize",
-                                       "--estimator", "S,AEP,B")
-                assert code == EXIT_OK
-                single += parse_csv(out)[1]
-            assert parse_csv(serial)[1] == single
-
-    def test_worker_count_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("PSKRATES_WORKERS", "two")
-        code, out, err = run_cli(capsys, "sweep", "--variable", "eta", "--from", "0.2",
-                                 "--to", "0.8", "--points", "2", "--quantity", "entropies",
-                                 "--protocol", "bpsk", "--alpha", "1")
-        assert code == EXIT_PARAMS
-        assert "PSKRATES_WORKERS" in err and "'two'" in err
-        assert out == ""
+        _, rows = parse_csv(out)
+        single = []
+        for n in np.logspace(math.log10(316.23), 8.0, 3).tolist():
+            code, one, _ = run_cli(capsys, "rate", "--protocol", protocol, "--eta", "0.9",
+                                   "--n", repr(n), "--optimize", "--estimator", "S,AEP,B")
+            assert code == EXIT_OK
+            single += parse_csv(one)[1]
+        assert rows == single  # by n, then by estimator as listed
 
     def test_order_flag_alias(self, capsys):
         code, out, _ = run_cli(capsys, "entropies", "--protocol", "bpsk",

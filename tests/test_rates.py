@@ -155,12 +155,12 @@ class TestEstimators:
 
 class TestOptimizeRate:
     def test_deterministic(self):
-        first = optimize_rate("AEP", 2, 0.9, 1e6)
-        second = optimize_rate("AEP", 2, 0.9, 1e6)
+        first = optimize_rate("AEP", 2, 0.9, [1e6])
+        second = optimize_rate("AEP", 2, 0.9, [1e6])
         assert first == second
 
     def test_aep_finds_interior_optimum(self):
-        result = optimize_rate("AEP", 2, 0.9, 1e6)
+        [result] = optimize_rate("AEP", 2, 0.9, [1e6])
         assert result.a_opt is None
         assert 0.8 <= result.alpha_opt <= 1.1
         assert result.key_possible and result.rate > 0.35
@@ -170,28 +170,30 @@ class TestOptimizeRate:
             assert result.rate >= rate_aep(ensemble, SecurityParams(n=1e6)) - 1e-9
 
     def test_negative_landscape_flagged(self):
-        result = optimize_rate("AEP", 2, 0.9, 50)
+        [result] = optimize_rate("AEP", 2, 0.9, [50])
         assert result.rate < 0.0
         assert not result.key_possible
 
     def test_estimator_validation(self):
         with pytest.raises(ValueError):
-            optimize_rate("X", 2, 0.9, 1e6)
+            optimize_rate("X", 2, 0.9, [1e6])
         with pytest.raises(ValueError):
-            optimize_rate("S", 2, 0.9, 1e6, a_max=100.0)
+            optimize_rate("S", 2, 0.9, [1e6], a_max=100.0)
+        with pytest.raises(ValueError, match="block size"):
+            optimize_rate("AEP", 2, 0.9, [1e6, 0.5])
         for estimator in ("S", "B"):
             for a_max in (1.0, 0.5):
                 with pytest.raises(ValueError, match="a_max"):
-                    optimize_rate(estimator, 2, 0.9, 1e6, a_max=a_max)
+                    optimize_rate(estimator, 2, 0.9, [1e6], a_max=a_max)
 
     def test_result_invariants(self):
-        result = optimize_rate("B", 2, 0.9, 1e5)
+        [result] = optimize_rate("B", 2, 0.9, [1e5])
         assert isinstance(result, RateResult)
         assert result.rate <= math.log2(2)
         assert result.leak >= 0.0
         assert 1.0 < result.a_opt < 2.0
         # a cap beyond the continuity pole is clamped to it, not rejected
-        assert optimize_rate("B", 2, 0.9, 1e5, a_max=16.0) == result
+        assert optimize_rate("B", 2, 0.9, [1e5], a_max=16.0) == [result]
 
     def test_inner_warnings_mark_result_unconverged(self, monkeypatch):
         def stub(ensemble, a):
@@ -203,11 +205,21 @@ class TestOptimizeRate:
         monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = optimize_rate("S", 2, 0.9, 1e6)
-        assert not result.converged
+            results = optimize_rate("S", 2, 0.9, [1e6, 1e4])
+        # the second block size answers the grid from memory and must still
+        # count the warnings of the terms it reuses
+        assert [r.converged for r in results] == [False, False]
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, entropies.ConvergenceWarning)]
-        assert len(messages) == 1
+        assert len(messages) == 2
         # the first grid point above a = 2 is a = 2.0488 at the smallest alpha
-        assert messages[0].startswith("S rate at n=1e+06:")
-        assert "first at alpha=0.05, a=2.0488 " in messages[0]
+        for message, n in zip(messages, ("1e+06", "10000")):
+            assert message.startswith(f"S rate at n={n}:")
+            assert "first at alpha=0.05, a=2.0488 " in message
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    @pytest.mark.parametrize("estimator", ["S", "AEP", "B"])
+    def test_block_sizes_share_one_surface_exactly(self, estimator, n_states):
+        ns = [316.23, 1e4, 1e8]
+        together = optimize_rate(estimator, n_states, 0.9, ns)
+        assert together == [optimize_rate(estimator, n_states, 0.9, [n])[0] for n in ns]
