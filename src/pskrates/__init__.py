@@ -52,7 +52,6 @@ from .rates import (
     g_eps,
     leak,
     leak_bpsk,
-    leak_from_table,
     leak_qpsk,
     optimize_rate,
     rate_aep,

@@ -127,17 +127,22 @@ _RATE_HEADER = ["estimator", "n", "eta", "rate", "alpha_opt", "a_opt", "leak",
                 "key_possible"]
 
 
-def _single_rate(args, spec: rates.Estimator, n: float) -> rates.RateResult:
+def _single_rates(args, specs: list[rates.Estimator], ns: list[float]) -> list[list]:
+    """Results per estimator at the fixed (alpha, order); only key_rate runs per n."""
     if args.alpha is None:
         raise _ParameterError("--alpha is required without --optimize")
-    if spec.takes_order and args.order is None:
-        raise _ParameterError(f"--order is required for estimator {spec.name}")
     params = _protocol_params(args)
-    sp = rates.SecurityParams(n=n, eps=args.eps, eps_prime=args.eps_prime, a=args.order)
-    value = spec.rate(build_ensemble(params), sp)
-    return rates.RateResult(estimator=spec.name, rate=value, alpha_opt=args.alpha,
-                            a_opt=args.order if spec.takes_order else None,
-                            leak=rates.leak(params), key_possible=value > 0.0)
+    sps = [rates.SecurityParams(n=n, eps=args.eps, eps_prime=args.eps_prime, a=args.order)
+           for n in ns]
+    ensemble, leak = build_ensemble(params), rates.leak(params)
+    columns = []
+    for spec in specs:
+        h = spec.entropy(ensemble, args.order)
+        values = [spec.key_rate(h, sp, params.n_states, leak) for sp in sps]
+        a_opt = args.order if spec.takes_order else None
+        columns.append([rates.RateResult(spec.name, value, args.alpha, a_opt, leak, value > 0.0)
+                        for value in values])
+    return columns
 
 
 def _rate_rows(args, ns: list[float]) -> tuple[list, bool]:
@@ -147,7 +152,7 @@ def _rate_rows(args, ns: list[float]) -> tuple[list, bool]:
         columns = [rates.optimize_rate(spec.name, PROTOCOL_SIZES[args.protocol], args.eta, ns,
                                        args.eps, args.eps_prime, args.a_max) for spec in specs]
     else:
-        columns = [[_single_rate(args, spec, n) for n in ns] for spec in specs]
+        columns = _single_rates(args, specs, ns)
     rows = [[r.estimator, n, args.eta, r.rate, r.alpha_opt, r.a_opt, r.leak, r.key_possible]
             for n, results in zip(ns, zip(*columns)) for r in results]
     return rows, all(r.converged for column in columns for r in column)

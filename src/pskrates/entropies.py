@@ -151,7 +151,13 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   and no weight is cut: a weight of rho_{E|0} far below the largest one
 #   counts at every q and every order. Convexity (concavity for a < 1)
 #   makes log T unimodal in z, and a golden-section search finds the
-#   optimum to |dz| <= 1e-11 without warnings.
+#   optimum to |dz| <= 1e-11 without warnings. The merit is written once,
+#   for one point (math) and for a stack of points (numpy): the array solve
+#   runs every point's search together, each with its own bracket and
+#   stopping test. numpy's exp and log may differ from math's in the last
+#   ulp (up to 6.7e-16 in log T on the optimizer's grid), so the array
+#   solve only ranks the grid of ``rates.optimize_rate``; the single-point
+#   solve produces every reported value.
 #
 # * N=4: a damped Newton method that minimizes s log T, s = sign(a - 1),
 #   and stops on a certificate. Each iterate costs one eigh of M, scaled by
@@ -204,37 +210,51 @@ _NEWTON_MAX_ITER = 50
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-def _softplus(z: float) -> float:
-    """log(1 + e^z) without overflow."""
-    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+def _softplus(z, xp=math):
+    """log(1 + e^z) without overflow; (z + |z|) / 2 is max(z, 0) exactly."""
+    return (z + abs(z)) / 2.0 + xp.log1p(xp.exp(-abs(z)))
+
+
+def _two_state_merit(p0, p1, off, a, xp):
+    """The merit z -> s log tr[(D rho0 D)^a] of the two-state search, and s = sign(a - 1).
+
+    q = (1, e^z) / (1 + e^z), p0 and p1 are the diagonal of rho0 and off is
+    |rho0_01|^2. M = D rho0 D has m00 = q0^2c p0, m11 = q1^2c p1 and
+    |m01|^2 = (q0 q1)^2c off. The smaller eigenvalue comes from the
+    determinant, (q0 q1)^2c det(rho0) / lam_+, not from a difference.
+    det(rho0) within the rounding of p0 p1 - off counts as zero, so a pure
+    rho0 stays pure. The same code serves one point (floats, xp = math) and
+    a stack of points (arrays, xp = numpy).
+    """
+    c2 = (1.0 - a) / a
+    det = p0 * p1 - off
+    det = det * (det > 8.0 * _UNIT_ROUNDOFF * p0 * p1)
+    sense = xp.copysign(1.0, a - 1.0)
+
+    def merit(z):
+        e0 = -c2 * _softplus(z, xp)  # log q0^2c
+        e1 = -c2 * _softplus(-z, xp)  # log q1^2c
+        m0, m1, cross = p0 * xp.exp(e0), p1 * xp.exp(e1), xp.exp(e0 + e1)
+        lam = 0.5 * (m0 + m1) + xp.sqrt(0.25 * (m0 - m1) ** 2 + off * cross)
+        ratio = cross * det / (lam * lam)
+        return sense * (a * xp.log(lam) + xp.log1p(ratio**a))
+
+    return merit, sense
 
 
 def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
-    """opt_q log tr[(D rho0 D)^a] for N=2, a >= 1/2, q = (1, e^z) / (1 + e^z).
-
-    The minimum for a > 1 and the maximum for a < 1. M = D rho0 D has
-    m00 = q0^2c rho00, m11 = q1^2c rho11 and |m01|^2 = (q0 q1)^2c |rho01|^2.
-    The smaller eigenvalue comes from the determinant, (q0 q1)^2c det(rho0)
-    / lam_+, not from a difference. det(rho0) within the rounding of
-    rho00 rho11 - |rho01|^2 counts as zero, so a pure rho0 stays pure.
-    """
-    c2 = (1.0 - a) / a
-    p0, p1 = float(rho0[0, 0].real), float(rho0[1, 1].real)
-    off = float(abs(rho0[0, 1])) ** 2
-    det = p0 * p1 - off
-    if det <= 8.0 * _UNIT_ROUNDOFF * p0 * p1:
-        det = 0.0
-    sense = 1.0 if a > 1.0 else -1.0
-
-    def merit(z: float) -> float:
-        e0 = -c2 * _softplus(z)  # log q0^2c
-        e1 = -c2 * _softplus(-z)  # log q1^2c
-        m0, m1, cross = p0 * math.exp(e0), p1 * math.exp(e1), math.exp(e0 + e1)
-        lam = 0.5 * (m0 + m1) + math.sqrt(0.25 * (m0 - m1) ** 2 + off * cross)
-        ratio = cross * det / (lam * lam)
-        return sense * (a * math.log(lam) + math.log1p(ratio**a))
-
+    """opt_q log tr[(D rho0 D)^a] for N=2, a >= 1/2: the minimum for a > 1, the maximum below."""
+    merit, sense = _two_state_merit(float(rho0[0, 0].real), float(rho0[1, 1].real),
+                                    float(abs(rho0[0, 1])) ** 2, a, math)
     return sense * _golden_min(merit, -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
+
+
+def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """``_two_state_log_trace`` at each 2x2 of a (G, 2, 2) stack and order of a (G,) array."""
+    merit, sense = _two_state_merit(rho0s[:, 0, 0].real, rho0s[:, 1, 1].real,
+                                    np.abs(rho0s[:, 0, 1]) ** 2, orders, np)
+    clip = np.full(orders.shape, _LOGODDS_CLIP)
+    return sense * _golden_min_each(merit, -clip, clip, _LOGODDS_TOL)
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
@@ -251,6 +271,27 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = fn(x2)
     return min(f1, f2)
+
+
+def _golden_min_each(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """``_golden_min`` on arrays: one bracket per point, each moved and stopped by its own test.
+
+    ``fn`` maps an array of points to an array of values. A point whose
+    bracket is closed keeps its bracket and values, so every point takes
+    exactly the steps it would take alone.
+    """
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while (live := hi - lo > tol).any():
+        left, right = live & (f1 <= f2), live & ~(f1 <= f2)
+        lo, x1, f1, hi, x2, f2 = (
+            np.where(right, x1, lo), np.where(right, x2, x1), np.where(right, f2, f1),
+            np.where(left, x2, hi), np.where(left, x1, x2), np.where(left, f1, f2))
+        x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fx = fn(x)
+        x1, f1 = np.where(left, x, x1), np.where(left, fx, f1)
+        x2, f2 = np.where(right, x, x2), np.where(right, fx, f2)
+    return np.minimum(f1, f2)
 
 
 def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
@@ -444,6 +485,20 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     n = ensemble.n_states
     log_t = _two_state_log_trace(rho0, a) if n == 2 else _newton_log_trace(rho0, a)
     return math.log2(n) + log_t / (LN2 * (1.0 - a))
+
+
+def sandwiched_up_two_state_grid(rho0s: np.ndarray, orders) -> np.ndarray:
+    """``sandwiched_up_invariant`` for N=2 at each rho_{E|0} of a (G, 2, 2) stack, with (G,) orders.
+
+    All G golden searches run together on arrays. numpy's exp and log may
+    differ from math's in the last ulp, so a value can differ from the
+    single-point one by a few ulps of log T; ``optimize_rate`` uses these
+    values only to rank its grid.
+    """
+    orders = np.asarray(orders, dtype=float)
+    if not np.all(np.isfinite(orders) & (orders >= 0.5) & (orders != 1.0)):
+        raise ValueError("optimized sandwiched entropy needs finite orders a >= 1/2, a != 1")
+    return 1.0 + _two_state_log_traces(rho0s, orders) / (LN2 * (1.0 - orders))
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:

@@ -111,26 +111,6 @@ def leak(params: ProtocolParams) -> float:
     return leak_bpsk(params) if params.n_states == 2 else leak_qpsk(params)
 
 
-def leak_from_table(table: np.ndarray) -> float:
-    """H_N(Y|X) from a conditional probability table with uniform inputs.
-
-    Generic column-entropy evaluation, the cross-check for the closed-form
-    leaks.
-    """
-    table = np.asarray(table, dtype=float)
-    n = table.shape[1]
-    total = 0.0
-    for x in range(n):
-        col = table[:, x]
-        col = col[col > 0.0]
-        total -= float((col * np.log2(col)).sum())
-    return total / n
-
-
-def _hash_term(sp: SecurityParams) -> float:
-    return (1.0 + 2.0 * math.log2(sp.eps_prime)) / sp.n
-
-
 def rate_s(ensemble: CQEnsemble, sp: SecurityParams) -> float:
     """Key-rate bound from the optimized sandwiched Rényi entropy (a > 1)."""
     return ESTIMATORS["S"].rate(ensemble, sp)
@@ -164,9 +144,9 @@ class Estimator:
     """One row of the estimator table.
 
     ``entropy_fn`` names the ``entropies`` function of the n-independent
-    entropy term, looked up at each call. An order cap above ``a_max_limit``
-    is an error, or clamped to it when ``clamp_a_max`` is set (the continuity
-    coefficient's pole).
+    entropy term and ``two_state_grid_fn`` its N=2 array form, if any; both
+    are looked up at each call. An order cap above ``a_max_limit`` is an
+    error, or clamped to it when ``clamp_a_max`` is set (B's pole).
     """
 
     name: str
@@ -175,16 +155,19 @@ class Estimator:
     a_max_default: float | None = None
     a_max_limit: float | None = None
     clamp_a_max: bool = False
+    two_state_grid_fn: str | None = None
 
     def rate(self, ensemble: CQEnsemble, sp: SecurityParams) -> float:
-        if self.takes_order and (sp.a is None or sp.a <= 1.0):
-            raise ValueError(f"the {self.name} estimator needs a Renyi order a > 1, got {sp.a}")
         return self.key_rate(self.entropy(ensemble, sp.a), sp, ensemble.n_states,
                              leak(ensemble.params))
 
     def entropy(self, ensemble: CQEnsemble, a: float | None) -> float:
         fn = getattr(entropies, self.entropy_fn)
-        return fn(ensemble, a) if self.takes_order else fn(ensemble)
+        if not self.takes_order:
+            return fn(ensemble)
+        if a is None or a <= 1.0:
+            raise ValueError(f"the {self.name} estimator needs a Renyi order a > 1, got {a}")
+        return fn(ensemble, a)
 
     def key_rate(self, h: float, sp: SecurityParams, n_states: int, leak_value: float) -> float:
         """Entropy term + hash term - correction - leak, in that order."""
@@ -192,7 +175,7 @@ class Estimator:
             correction = g_eps(sp.eps) / (sp.n * (sp.a - 1.0))
         else:
             correction = delta_eps(sp.eps, n_states) / math.sqrt(sp.n)
-        return float(h + _hash_term(sp) - correction - leak_value)
+        return float(h + (1.0 + 2.0 * math.log2(sp.eps_prime)) / sp.n - correction - leak_value)
 
     def order_cap(self, a_max: float | None) -> float:
         """The validated upper end of the Rényi-order search."""
@@ -205,7 +188,8 @@ class Estimator:
 
 
 ESTIMATORS = {
-    "S": Estimator("S", "sandwiched_up_invariant", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT),
+    "S": Estimator("S", "sandwiched_up_invariant", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT,
+                   two_state_grid_fn="sandwiched_up_two_state_grid"),
     "AEP": Estimator("AEP", "von_neumann_cq", False),
     "B": Estimator("B", "continuity_bound", True, entropies.CONTINUITY_A_MAX,
                    entropies.CONTINUITY_A_MAX, clamp_a_max=True),
@@ -240,6 +224,10 @@ def optimize_rate(
     point's entropy term and leak are computed once per call, as they do not
     depend on n; a result equals that of a one-element call bit for bit.
 
+    For N=2, S ranks its grid with one array solve shared by every block
+    size. Those values only rank: every value reported, the simplex vertices
+    included, comes from the single-point ``entropy_fn``.
+
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
     names the estimator, n and the first (alpha, a) that warned.
@@ -247,6 +235,7 @@ def optimize_rate(
     spec = estimator_spec(estimator)
     if spec.takes_order:
         log_a_hi = math.log(spec.order_cap(a_max) - 1.0)
+    bases = [SecurityParams(n=n, eps=eps, eps_prime=eps_prime) for n in ns]  # all checked first
     lo, hi = ALPHA_BOUNDS
     log_a_lo = math.log(_A_GRID_OFFSET_MIN)
 
@@ -254,19 +243,22 @@ def optimize_rate(
     # (alpha, log_a) -> (a, entropy term, leak, ConvergenceWarning messages)
     terms: dict[tuple, tuple] = {}
 
-    def term(alpha: float, log_a: float | None) -> tuple:
+    def ensemble(alpha: float) -> CQEnsemble:
+        if alpha not in ensembles:
+            ensembles[alpha] = build_ensemble(ProtocolParams(n_states, alpha, eta))
+        return ensembles[alpha]
+
+    def term(alpha: float, log_a: float | None = None) -> tuple:
         key = (alpha, log_a)
         if key not in terms:
-            if alpha not in ensembles:
-                ensembles[alpha] = build_ensemble(ProtocolParams(n_states, alpha, eta))
             a = None if log_a is None else 1.0 + math.exp(log_a)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", entropies.ConvergenceWarning)
-                h = spec.entropy(ensembles[alpha], a)
+                h = spec.entropy(ensemble(alpha), a)
             for w in caught:
                 if not issubclass(w.category, entropies.ConvergenceWarning):
                     warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            terms[key] = (a, h, leak(ensembles[alpha].params), [
+            terms[key] = (a, h, leak(ensemble(alpha).params), [
                 str(w.message) for w in caught
                 if issubclass(w.category, entropies.ConvergenceWarning)])
         return terms[key]
@@ -277,17 +269,24 @@ def optimize_rate(
         grid = [(al, la) for al in alphas for la in log_as]
     else:
         grid = [(al,) for al in alphas]
+    if n_states == 2 and spec.two_state_grid_fn:  # rank only; see the docstring
+        orders = [1.0 + math.exp(la) for _, la in grid]
+        ranks = getattr(entropies, spec.two_state_grid_fn)(
+            np.array([ensemble(al).cond_states[0] for al, _ in grid]), orders).tolist()
+        grid_terms = [(a, h, leak(ensemble(al).params), ())
+                      for (al, _), a, h in zip(grid, orders, ranks)]
+    else:
+        grid_terms = [term(*point) for point in grid]
 
     def search(base: SecurityParams) -> RateResult:
         warned: list = []  # (alpha, a, message) of every ConvergenceWarning
 
-        def evaluate(alpha: float, log_a: float | None = None) -> float:
-            a, h, leak_value, messages = term(alpha, log_a)
+        def score(alpha: float, a: float | None, h: float, leak_value: float, messages) -> float:
             sp = SecurityParams(n=base.n, eps=eps, eps_prime=eps_prime, a=a)
             warned.extend((alpha, a, message) for message in messages)
             return spec.key_rate(h, sp, n_states, leak_value)
 
-        scored = [(evaluate(*point), point) for point in grid]
+        scored = [(score(point[0], *t), point) for point, t in zip(grid, grid_terms)]
         # deterministic reduction: max by value, ties to smallest parameters
         scored.sort(key=lambda item: (-item[0], item[1]))
 
@@ -296,14 +295,10 @@ def optimize_rate(
         if dim == 2:
             span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
             if abs(np.linalg.det(span)) < 1e-12:  # collinear grid points stall NM
-                step_alpha = (hi - lo) / (GRID_POINTS - 1)
-                step_log_a = (log_a_hi - log_a_lo) / (GRID_POINTS - 1)
-                if abs(simplex[1][0] - simplex[0][0]) < 1e-12:
-                    simplex[2] = simplex[0] + np.array([step_alpha, 0.0])
-                else:
-                    simplex[2] = simplex[0] + np.array([0.0, step_log_a])
-        elif abs(simplex[1][0] - simplex[0][0]) < 1e-12:
-            simplex[1] = simplex[0] + np.array([(hi - lo) / (GRID_POINTS - 1)])
+                # one grid step off the line: in alpha if the best two share it
+                same_alpha = simplex[1][0] == simplex[0][0]
+                step = [hi - lo, 0.0] if same_alpha else [0.0, log_a_hi - log_a_lo]
+                simplex[2] = simplex[0] + np.array(step) / (GRID_POINTS - 1)
 
         def clip(x: np.ndarray) -> tuple[float, float | None]:
             alpha = float(min(max(x[0], lo), hi))
@@ -313,15 +308,14 @@ def optimize_rate(
             return alpha, log_a
 
         def negated(x: np.ndarray) -> float:
-            return -evaluate(*clip(x))
+            alpha, log_a = clip(x)
+            return -score(alpha, *term(alpha, log_a))
 
+        # Nelder-Mead evaluates the grid winner first and never returns a
+        # worse vertex, so its result is at least the winner's value
         refined = nelder_mead(negated, simplex, f_tol=1e-9, max_iter=500)
         best_rate = -refined.fun
         alpha_opt, log_a_opt = clip(refined.x)
-        if scored[0][0] > best_rate:  # keep the grid winner if refinement regressed
-            best_rate = scored[0][0]
-            alpha_opt = scored[0][1][0]
-            log_a_opt = scored[0][1][1] if spec.takes_order else None
 
         if warned:
             alpha_w, a_w, message = warned[0]
@@ -339,6 +333,5 @@ def optimize_rate(
             converged=bool(refined.converged) and not warned,
         )
 
-    # every block size is validated before the first search; map calls search
-    # from C, so stacklevel 3 above is the caller of optimize_rate
-    return list(map(search, [SecurityParams(n=n, eps=eps, eps_prime=eps_prime) for n in ns]))
+    # map calls search from C, so stacklevel 3 above is the caller of optimize_rate
+    return list(map(search, bases))

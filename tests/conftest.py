@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import pskrates.rates as rates
 from pskrates.states import ProtocolParams, build_ensemble
 
 
@@ -13,6 +16,17 @@ def random_protocol(rng, n_states, alpha_range=(0.0, 3.0), eta_range=(0.0, 1.0))
     alpha = rng.uniform(*alpha_range)
     eta = rng.uniform(*eta_range)
     return ProtocolParams(n_states=n_states, alpha=alpha, eta=eta)
+
+
+def score_grid_point_by_point(monkeypatch):
+    """Make S score its BPSK grid through ``sandwiched_up_invariant``, as N=4 does.
+
+    A stub of ``sandwiched_up_invariant`` then also scores the grid, so its
+    warnings at grid points reach ``optimize_rate``; the array solve that
+    ranks the grid otherwise never warns.
+    """
+    spec = dataclasses.replace(rates.ESTIMATORS["S"], two_state_grid_fn=None)
+    monkeypatch.setitem(rates.ESTIMATORS, "S", spec)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import pskrates.cli as cli
 import pskrates.entropies as entropies
+import pskrates.rates as rates
 from pskrates.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
@@ -13,6 +15,9 @@ from pskrates.cli import (
     EXIT_VERIFY,
     main,
 )
+from pskrates.states import ProtocolParams, build_ensemble
+
+from conftest import score_grid_point_by_point
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +172,7 @@ class TestRate:
             return 0.5
 
         monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        score_grid_point_by_point(monkeypatch)
         code, out, err = run_cli(capsys, "rate", "--protocol", "bpsk",
                                  "--estimator", "S", "--n", "1e6", "--eta", "0.9",
                                  "--optimize")
@@ -269,6 +275,29 @@ class TestSweep:
         assert len(rows) == 6  # 3 points x 2 estimators
         ns = sorted({float(r[1]) for r in rows})
         assert ns == pytest.approx([1e4, 1e5, 1e6])
+
+    def test_fixed_point_n_sweep_solves_each_entropy_once(self, capsys, monkeypatch):
+        calls = {"build_ensemble": 0, "sandwiched_up_invariant": 0, "continuity_bound": 0}
+        for module, name in ((cli, "build_ensemble"), (entropies, "sandwiched_up_invariant"),
+                             (entropies, "continuity_bound")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        code, out, _ = run_cli(capsys, "sweep", "--variable", "n", "--from", "1e3",
+                               "--to", "1e8", "--points", "25", "--scale", "log",
+                               "--quantity", "rate", "--protocol", "bpsk", "--eta", "0.9",
+                               "--alpha", "1", "--order", "1.5", "--estimator", "S,B")
+        assert code == EXIT_OK
+        assert calls == {"build_ensemble": 1, "sandwiched_up_invariant": 1, "continuity_bound": 1}
+        # each row is still the estimator's own rate at that n
+        ensemble = build_ensemble(ProtocolParams(2, 1.0, 0.9))
+        _, rows = parse_csv(out)
+        ns = np.logspace(3.0, 8.0, 25).tolist()
+        assert [(r[0], r[1]) for r in rows] == [(e, f"{n:.12g}") for n in ns for e in "SB"]
+        for row, n in zip(rows, [n for n in ns for _ in "SB"]):
+            sp = rates.SecurityParams(n=n, a=1.5)
+            assert row[3] == f"{rates.ESTIMATORS[row[0]].rate(ensemble, sp):.12g}"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

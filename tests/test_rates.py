@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pskrates.entropies as entropies
+import pskrates.rates as rates
 from pskrates.entropies import von_neumann_cq
 from pskrates.oracles import erf_oracle
 from pskrates.rates import (
@@ -14,7 +15,6 @@ from pskrates.rates import (
     g_eps,
     leak,
     leak_bpsk,
-    leak_from_table,
     leak_qpsk,
     optimize_rate,
     rate_aep,
@@ -23,7 +23,23 @@ from pskrates.rates import (
 )
 from pskrates.states import ProtocolParams, build_ensemble, cond_prob_table
 
-from conftest import philox_rng, random_protocol
+from conftest import philox_rng, random_protocol, score_grid_point_by_point
+
+
+def leak_from_table(table):
+    """H_N(Y|X) from a conditional probability table with uniform inputs.
+
+    Generic column-entropy evaluation, the cross-check for the closed-form
+    leaks.
+    """
+    table = np.asarray(table, dtype=float)
+    n = table.shape[1]
+    total = 0.0
+    for x in range(n):
+        col = table[:, x]
+        col = col[col > 0.0]
+        total -= float((col * np.log2(col)).sum())
+    return total / n
 
 
 class TestCorrections:
@@ -203,6 +219,7 @@ class TestOptimizeRate:
             return 1.0 - 0.1 * (ensemble.params.alpha - 1.0) ** 2
 
         monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        score_grid_point_by_point(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = optimize_rate("S", 2, 0.9, [1e6, 1e4])
@@ -216,6 +233,45 @@ class TestOptimizeRate:
         for message, n in zip(messages, ("1e+06", "10000")):
             assert message.startswith(f"S rate at n={n}:")
             assert "first at alpha=0.05, a=2.0488 " in message
+
+    def test_ranked_grid_still_counts_vertex_warnings(self, monkeypatch):
+        # with the array solve ranking the BPSK grid, the stub runs only at
+        # the simplex vertices, and their warnings still mark every n
+        def stub(ensemble, a):
+            warnings.warn("invariant-state optimization did not reach tolerance",
+                          entropies.ConvergenceWarning, stacklevel=2)
+            return 0.5
+
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = optimize_rate("S", 2, 0.9, [1e6, 1e4])
+        assert [r.converged for r in results] == [False, False]
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, entropies.ConvergenceWarning)]
+        assert [m.split(":")[0] for m in messages] == ["S rate at n=1e+06", "S rate at n=10000"]
+
+    def test_bpsk_s_grid_is_one_array_solve(self, monkeypatch):
+        # a guard on the batched grid that needs no timing: the scalar
+        # search runs only for the simplex vertices and Nelder-Mead (671
+        # times when it also scored the grid)
+        calls = {"_two_state_log_traces": 0, "_two_state_log_trace": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(entropies, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(entropies, name, counted)
+        optimize_rate("S", 2, 0.9, [1e4])
+        assert calls["_two_state_log_traces"] == 1
+        assert calls["_two_state_log_trace"] <= 100
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    @pytest.mark.parametrize("estimator", ["S", "AEP", "B"])
+    def test_reported_rate_is_the_estimator_at_the_optimum(self, estimator, n_states):
+        [result] = optimize_rate(estimator, n_states, 0.9, [1e4])
+        ensemble = build_ensemble(ProtocolParams(n_states, result.alpha_opt, 0.9))
+        sp = SecurityParams(n=1e4, a=result.a_opt)
+        assert result.rate == rates.ESTIMATORS[estimator].rate(ensemble, sp)
 
     @pytest.mark.parametrize("n_states", [2, 4])
     @pytest.mark.parametrize("estimator", ["S", "AEP", "B"])
