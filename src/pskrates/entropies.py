@@ -197,6 +197,14 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   optimum for pure rho_{E|0} and as a -> 1. Its exponent diverges as
 #   a -> 1/2, and started there the solve can stall on stationary points
 #   that the support cut creates, so a < 1 starts from diag(rho_E) instead.
+#
+#   The array solve runs every grid point's Newton solve together on a
+#   (G, k, k) stack (``_newton_solves``), each point with its own line
+#   search, iteration count and certificate; a weight pinned by its floor
+#   keeps a zeroed row and column in the stacked Hessian. It takes its logs
+#   with math, like the single-point solve, and on the optimizer's grid
+#   matches it to a few ulps of log T. As for N=2 it only ranks the grid;
+#   a point that does not certify there is solved again alone.
 # ---------------------------------------------------------------------------
 
 #: Log-odds search interval and tolerance of the two-state golden search.
@@ -208,6 +216,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CERTIFY_BITS = 1e-12
 _NEWTON_MAX_ITER = 50
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+#: Solves per stacked Newton step of the array solve: the Hessian's
+#: (k, k^2) complex intermediates of a block stay near 0.1 MB each.
+_NEWTON_BLOCK = 128
 
 
 def _softplus(z, xp=math):
@@ -294,8 +305,10 @@ def _golden_min_each(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarr
     return np.minimum(f1, f2)
 
 
-def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
+def _power_divided_differences(x: np.ndarray, a) -> np.ndarray:
     """f1(x_m, x_n) of f(x) = x^a for x in [0, 1], a > 0 (any a if every x > 0).
+
+    x may be a (G, k) stack of spectra with a (G, 1, 1) array of orders.
 
     With y the larger argument and r the ratio of the smaller to it, this is
     y^(a-1) expm1(a ln r) / expm1(ln r): exact for nearly equal arguments,
@@ -303,8 +316,8 @@ def _power_divided_differences(x: np.ndarray, a: float) -> np.ndarray:
     0, which is f'(0) for a > 1; for a < 1 f'(0) is infinite, but the
     Hessian multiplies this entry by x_m + x_n = 0.
     """
-    hi = np.maximum(x[:, None], x[None, :])
-    lo = np.minimum(x[:, None], x[None, :])
+    hi = np.maximum(x[..., :, None], x[..., None, :])
+    lo = np.minimum(x[..., :, None], x[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.log(lo / hi)
         ratio = np.where(log_r == 0.0, a, np.expm1(a * log_r) / np.expm1(log_r))
@@ -340,6 +353,34 @@ def _scaled_power(m: np.ndarray, a: float, n: int) -> _ScaledPower:
     eps = lipschitz * n * n * _UNIT_ROUNDOFF
     log_scale, log_t = math.log(lam[-1]), math.log(t)
     return _ScaledPower(float(lam[-1]), x, v, xa, t, a * log_scale + log_t,
+                        _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps, eps)
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of each entry, as the single-point solve takes it.
+
+    numpy's log may differ from it in the last ulp, and near a = 1 an ulp of
+    log T is 1e-11 bits of entropy.
+    """
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def _scaled_powers(m: np.ndarray, a: np.ndarray, n: int) -> _ScaledPower:
+    """``_scaled_power`` of each matrix of a (G, n, n) stack, with (G,) orders: one stacked eigh.
+
+    Every field holds one entry (or row) per point; the cut, the Lipschitz
+    constant and the rounding bounds are each point's own.
+    """
+    lam, v = np.linalg.eigh(m)
+    top = lam[:, -1]
+    x = lam / top[:, None]
+    x[x <= linalg.SUPPORT_CUTOFF] = 0.0
+    xa = x ** a[:, None]
+    t = xa.sum(axis=1)
+    x_min = np.where(x > 0.0, x, 1.0).min(axis=1)
+    eps = np.where(a > 1.0, a, a * x_min ** (a - 1.0)) * n * n * _UNIT_ROUNDOFF
+    log_scale, log_t = _logs(top), _logs(t)
+    return _ScaledPower(top, x, v, xa, t, a * log_scale + log_t,
                         _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps, eps)
 
 
@@ -449,6 +490,107 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
     return sense * it.merit
 
 
+def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_newton_log_trace`` at each N x N of a (G, N, N) stack, with (G,) orders, all in step.
+
+    Returns log T and whether the point certified. As in the single-point
+    solve, a zero row of rho0 gets zero weight, so the points whose rho0 has
+    the same number of nonzero diagonal entries are solved together.
+    """
+    p = np.diagonal(rho0s, axis1=1, axis2=2).real
+    perm = np.argsort(-p, axis=1, kind="stable")
+    sizes = (p > 0.0).sum(axis=1)
+    log_t, certified = np.empty(p.shape[0]), np.empty(p.shape[0], dtype=bool)
+    for k in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == k)
+        keep = perm[group, :k]
+        log_t[group], certified[group] = _newton_solves(
+            rho0s[group[:, None, None], keep[:, :, None], keep[:, None, :]],
+            np.take_along_axis(p[group], keep, axis=1), orders[group], rho0s.shape[1])
+    return log_t, certified
+
+
+def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton solves of ``_newton_log_trace`` on a (G, k, k) stack of supports, in step.
+
+    rho holds each rho0 on its support, ordered by decreasing diagonal p;
+    n is the dimension of rho0. Each round takes one stacked eigh for the
+    trial points of every live solve and one for the Newton steps of the
+    solves that moved. Each point keeps its own start, line search,
+    iteration count and certificate, with the arithmetic of the single-point
+    solve, and never warns: a point that did not certify is reported as
+    such.
+    """
+    g, k = p.shape
+    c, sense = (1.0 - a) / (2.0 * a), np.where(a > 1.0, 1.0, -1.0)
+    tol = _CERTIFY_BITS * LN2
+
+    def evaluate(rows: np.ndarray, z: np.ndarray) -> _Iterate:
+        z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
+        top = z.max(axis=1, initial=0.0)
+        log_q = np.concatenate((np.zeros((rows.size, 1)), z), axis=1)
+        log_q -= (top + _logs(np.exp(log_q - top[:, None]).sum(axis=1)))[:, None]
+        q = np.exp(log_q)
+        d = np.exp(c[rows, None] * log_q)
+        sp = _scaled_powers(rho[rows] * (d[:, :, None] * d[:, None, :]), a[rows], n)
+        w = ((sp.v.real**2 + sp.v.imag**2) @ sp.xa[:, :, None])[:, :, 0] / sp.t[:, None]
+        ratio = w / q
+        kkt, floor = ratio - 1.0, sp.eps[:, None] * (1.0 / (q * sp.t[:, None]) + ratio)
+        return _Iterate(z, sense[rows] * sp.log_t, sp.noise, (kkt - floor).max(axis=1),
+                        q, sp.x, sp.v, w, sp.t, kkt, floor)
+
+    def newton_steps(rows: np.ndarray, it: _Iterate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # a weight within its rounding floor stays put: zeroing its row,
+        # column and slope leaves the step of the free weights as it is
+        free = np.abs(it.kkt[:, 1:]) > it.floor[:, 1:]
+        ar, cr, sr = a[rows, None, None], c[rows, None, None], sense[rows, None, None]
+        kernel = _power_divided_differences(it.x, ar) * (it.x[:, :, None] + it.x[:, None, :])
+        vt = it.v.transpose(0, 2, 1)
+        proj = (vt[:, :, :, None] * vt.conj()[:, :, None, :]).reshape(rows.size, k, k * k)
+        h_t = (proj * (kernel @ proj.conj())).sum(axis=1).real.reshape(rows.size, k, k)
+        g_u = 2.0 * a[rows, None] * it.w
+        h_u = 2.0 * ar * h_t / it.t[:, None, None] - g_u[:, :, None] * g_u[:, None, :]
+        qf = it.q[:, 1:, None]
+        h_z = sr * (cr * cr * h_u[:, 1:, 1:]
+                    + (ar - 1.0) * (qf * np.eye(k - 1) - qf * qf.transpose(0, 2, 1)))
+        grad = np.where(free, sr[:, 0] * (1.0 - ar[:, 0]) * (it.w - it.q)[:, 1:], 0.0)
+        mu, vec = np.linalg.eigh(np.where(free[:, :, None] & free[:, None, :], h_z, 0.0))
+        mu = np.maximum(np.abs(mu), 1e-12 * np.abs(mu).max(axis=1, keepdims=True, initial=0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows with no free weight
+            step = -vec @ ((vec.transpose(0, 2, 1) @ grad[:, :, None]) / mu[:, :, None])
+        return (grad[:, None, :] @ step)[:, 0, 0], step[:, :, 0], free.any(axis=1)
+
+    log_q0 = (a / np.where(a > 1.0, 2.0 * a - 1.0, a))[:, None] * np.log(p)
+    it = evaluate(np.arange(g), log_q0[:, 1:] - log_q0[:, :1])
+    slope, step = np.zeros(g), np.zeros((g, k - 1))
+    tau, steps = np.ones(g), np.zeros(g, dtype=int)
+    fresh = (it.gap > tol) & (_NEWTON_MAX_ITER > 0)  # solves that need a Newton step
+    searching = np.zeros(g, dtype=bool)  # solves in a line search
+    while True:
+        moving = np.flatnonzero(fresh)
+        for start in range(0, moving.size, _NEWTON_BLOCK):
+            rows = moving[start:start + _NEWTON_BLOCK]
+            slope[rows], step[rows], searching[rows] = newton_steps(
+                rows, _Iterate(*(field[rows] for field in it)))
+        tau[moving], fresh[:] = 1.0, False
+        rows = np.flatnonzero(searching)
+        if not rows.size:
+            break
+        cand = evaluate(rows, it.point[rows] + tau[rows, None] * step[rows])
+        accept = (cand.merit <= it.merit[rows] + 1e-4 * tau[rows] * slope[rows]) | (
+            (cand.merit <= it.merit[rows] + 2.0 * it.noise[rows]) & (cand.gap < it.gap[rows]))
+        moved, stuck = rows[accept], rows[~accept]
+        for field, new in zip(it, cand):
+            field[moved] = new[accept]
+        steps[moved] += 1
+        fresh[moved] = (it.gap[moved] > tol) & (steps[moved] < _NEWTON_MAX_ITER)
+        searching[moved] = False
+        tau[stuck] *= 0.5
+        searching[stuck] = tau[stuck] >= 1e-10
+    return sense * it.merit, it.gap <= tol
+
+
 def _check_sandwiched_up_order(a: float) -> float:
     a = _check_order(a)
     if a < 0.5:
@@ -487,10 +629,13 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     return math.log2(n) + log_t / (LN2 * (1.0 - a))
 
 
-def sandwiched_up_two_state_grid(rho0s: np.ndarray, orders) -> np.ndarray:
-    """``sandwiched_up_invariant`` for N=2 at each rho_{E|0} of a (G, 2, 2) stack, with (G,) orders.
+def sandwiched_up_invariant_grid(rho0s: np.ndarray, orders) -> np.ndarray:
+    """``sandwiched_up_invariant`` at each rho_{E|0} of a (G, N, N) stack, with (G,) orders.
 
-    All G golden searches run together on arrays. numpy's exp and log may
+    All G solves run together on arrays: the golden searches for N=2, the
+    certified Newton solves for N=4. A value is NaN where the Newton solve
+    did not certify; the single-point solve then gives the value and the
+    warning. numpy's exp and log may
     differ from math's in the last ulp, so a value can differ from the
     single-point one by a few ulps of log T; ``optimize_rate`` uses these
     values only to rank its grid.
@@ -498,7 +643,13 @@ def sandwiched_up_two_state_grid(rho0s: np.ndarray, orders) -> np.ndarray:
     orders = np.asarray(orders, dtype=float)
     if not np.all(np.isfinite(orders) & (orders >= 0.5) & (orders != 1.0)):
         raise ValueError("optimized sandwiched entropy needs finite orders a >= 1/2, a != 1")
-    return 1.0 + _two_state_log_traces(rho0s, orders) / (LN2 * (1.0 - orders))
+    n = rho0s.shape[-1]
+    if n == 2:
+        log_t = _two_state_log_traces(rho0s, orders)
+    else:
+        log_t, certified = _newton_log_traces(rho0s, orders)
+        log_t[~certified] = np.nan
+    return math.log2(n) + log_t / (LN2 * (1.0 - orders))
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:

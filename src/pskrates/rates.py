@@ -144,9 +144,9 @@ class Estimator:
     """One row of the estimator table.
 
     ``entropy_fn`` names the ``entropies`` function of the n-independent
-    entropy term and ``two_state_grid_fn`` its N=2 array form, if any; both
-    are looked up at each call. An order cap above ``a_max_limit`` is an
-    error, or clamped to it when ``clamp_a_max`` is set (B's pole).
+    entropy term and ``grid_fn`` its form on a stack of rho_{E|0}, if any;
+    both are looked up at each call. An order cap above ``a_max_limit`` is
+    an error, or clamped to it when ``clamp_a_max`` is set (B's pole).
     """
 
     name: str
@@ -155,7 +155,7 @@ class Estimator:
     a_max_default: float | None = None
     a_max_limit: float | None = None
     clamp_a_max: bool = False
-    two_state_grid_fn: str | None = None
+    grid_fn: str | None = None
 
     def rate(self, ensemble: CQEnsemble, sp: SecurityParams) -> float:
         return self.key_rate(self.entropy(ensemble, sp.a), sp, ensemble.n_states,
@@ -189,7 +189,7 @@ class Estimator:
 
 ESTIMATORS = {
     "S": Estimator("S", "sandwiched_up_invariant", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT,
-                   two_state_grid_fn="sandwiched_up_two_state_grid"),
+                   grid_fn="sandwiched_up_invariant_grid"),
     "AEP": Estimator("AEP", "von_neumann_cq", False),
     "B": Estimator("B", "continuity_bound", True, entropies.CONTINUITY_A_MAX,
                    entropies.CONTINUITY_A_MAX, clamp_a_max=True),
@@ -224,9 +224,9 @@ def optimize_rate(
     point's entropy term and leak are computed once per call, as they do not
     depend on n; a result equals that of a one-element call bit for bit.
 
-    For N=2, S ranks its grid with one array solve shared by every block
-    size. Those values only rank: every value reported, the simplex vertices
-    included, comes from the single-point ``entropy_fn``.
+    S ranks its grid with one array solve shared by every block size. Its
+    values only rank: every value reported, the simplex vertices included,
+    comes from ``entropy_fn``, which also scores the points it left NaN.
 
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
@@ -269,14 +269,14 @@ def optimize_rate(
         grid = [(al, la) for al in alphas for la in log_as]
     else:
         grid = [(al,) for al in alphas]
-    if n_states == 2 and spec.two_state_grid_fn:  # rank only; see the docstring
-        orders = [1.0 + math.exp(la) for _, la in grid]
-        ranks = getattr(entropies, spec.two_state_grid_fn)(
-            np.array([ensemble(al).cond_states[0] for al, _ in grid]), orders).tolist()
-        grid_terms = [(a, h, leak(ensemble(al).params), ())
-                      for (al, _), a, h in zip(grid, orders, ranks)]
-    else:
-        grid_terms = [term(*point) for point in grid]
+    ranks = [math.nan] * len(grid)
+    if spec.grid_fn:  # rank only; see the docstring
+        rho0s = np.array([ensemble(point[0]).cond_states[0] for point in grid])
+        orders = [1.0 + math.exp(log_a) for _, log_a in grid]
+        ranks = getattr(entropies, spec.grid_fn)(rho0s, orders).tolist()
+    grid_terms = [term(*point) if math.isnan(h) else
+                  (1.0 + math.exp(point[1]), h, leak(ensemble(point[0]).params), ())
+                  for point, h in zip(grid, ranks)]
 
     def search(base: SecurityParams) -> RateResult:
         warned: list = []  # (alpha, a, message) of every ConvergenceWarning

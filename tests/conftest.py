@@ -19,13 +19,13 @@ def random_protocol(rng, n_states, alpha_range=(0.0, 3.0), eta_range=(0.0, 1.0))
 
 
 def score_grid_point_by_point(monkeypatch):
-    """Make S score its BPSK grid through ``sandwiched_up_invariant``, as N=4 does.
+    """Make S score every grid point through ``sandwiched_up_invariant``, as AEP and B do.
 
     A stub of ``sandwiched_up_invariant`` then also scores the grid, so its
     warnings at grid points reach ``optimize_rate``; the array solve that
     ranks the grid otherwise never warns.
     """
-    spec = dataclasses.replace(rates.ESTIMATORS["S"], two_state_grid_fn=None)
+    spec = dataclasses.replace(rates.ESTIMATORS["S"], grid_fn=None)
     monkeypatch.setitem(rates.ESTIMATORS, "S", spec)
 
 

@@ -276,22 +276,41 @@ class TestSandwichedUpInvariant:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
     def test_array_solve_matches_single_point(self, eta):
         # the optimizer's 25 x 25 grid at the default order cap 4, orders
-        # below one, and the grid at cap 64. numpy's exp and log may differ
-        # from math's in the last ulp; log T grows like a, and so does its
-        # rounding at cap 64
-        rho0s = np.array([build_ensemble(ProtocolParams(2, float(alpha), eta)).cond_states[0]
-                          for alpha in np.linspace(0.05, 3.0, 25)])
+        # below one, and the grid at cap 64
         def grid(cap):
             return 1.0 + np.exp(np.linspace(math.log(1e-5), math.log(cap - 1.0), 25))
 
-        for orders, scaled in ((grid(4.0), False), (np.linspace(0.5, 0.999, 25), False),
-                               (grid(64.0), True)):
+        alphas = np.linspace(0.05, 3.0, 25)
+        order_sets = (grid(4.0), np.linspace(0.5, 0.999, 25), grid(64.0))
+        # N=2: numpy's exp and log may differ from math's in the last ulp;
+        # log T grows like a, and so does its rounding at cap 64
+        rho0s = np.array([build_ensemble(ProtocolParams(2, float(alpha), eta)).cond_states[0]
+                          for alpha in alphas])
+        for orders, scaled in zip(order_sets, (False, False, True)):
             got = entropies._two_state_log_traces(np.repeat(rho0s, 25, axis=0), np.tile(orders, 25))
             want = np.array([entropies._two_state_log_trace(rho0, float(a))
                              for rho0 in rho0s for a in orders])
             assert np.all(np.abs(got - want) <= 4e-15 * (np.tile(orders, 25) if scaled else 1.0))
         with pytest.raises(ValueError):
-            entropies.sandwiched_up_two_state_grid(rho0s[:1], [0.3])
+            entropies.sandwiched_up_invariant_grid(rho0s[:1], [0.3])
+        # N=4: a point certifies in the array solve exactly when it certifies
+        # alone, and then each value lies within 1e-12 bits of the optimum
+        ensembles = [build_ensemble(ProtocolParams(4, float(alpha), eta)) for alpha in alphas]
+        rho0s = np.array([ensemble.cond_states[0] for ensemble in ensembles])
+        for orders in order_sets:
+            got = entropies.sandwiched_up_invariant_grid(np.repeat(rho0s, 25, axis=0),
+                                                         np.tile(orders, 25))
+            want, certified = [], []
+            for ensemble in ensembles:
+                for a in orders:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always", ConvergenceWarning)
+                        want.append(sandwiched_up_invariant(ensemble, float(a)))
+                    certified.append(not caught)
+            assert np.array_equal(~np.isnan(got), certified)
+            assert np.all(np.abs(got - want)[certified] <= 2e-12)
+        with pytest.raises(ValueError):
+            entropies.sandwiched_up_invariant_grid(rho0s[:1], [0.3])
 
     def test_four_state_newton_matches_reference(self):
         # oracle 3 for N=4: Nelder-Mead from the log-odds of diag(rho_{E|0})

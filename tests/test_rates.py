@@ -251,19 +251,61 @@ class TestOptimizeRate:
                     if issubclass(w.category, entropies.ConvergenceWarning)]
         assert [m.split(":")[0] for m in messages] == ["S rate at n=1e+06", "S rate at n=10000"]
 
-    def test_bpsk_s_grid_is_one_array_solve(self, monkeypatch):
-        # a guard on the batched grid that needs no timing: the scalar
-        # search runs only for the simplex vertices and Nelder-Mead (671
-        # times when it also scored the grid)
-        calls = {"_two_state_log_traces": 0, "_two_state_log_trace": 0}
+    @staticmethod
+    def count_solves(monkeypatch, n_states, names):
+        calls = dict.fromkeys(names, 0)
         for name in calls:
             def counted(*args, _fn=getattr(entropies, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(entropies, name, counted)
-        optimize_rate("S", 2, 0.9, [1e4])
-        assert calls["_two_state_log_traces"] == 1
-        assert calls["_two_state_log_trace"] <= 100
+        optimize_rate("S", n_states, 0.9, [1e4])
+        return [calls[name] for name in names]
+
+    def test_bpsk_s_grid_is_one_array_solve(self, monkeypatch):
+        # a guard on the batched grid that needs no timing: the scalar
+        # search runs only for the simplex vertices and Nelder-Mead (671
+        # times when it also scored the grid)
+        batched, scalar = self.count_solves(
+            monkeypatch, 2, ("_two_state_log_traces", "_two_state_log_trace"))
+        assert batched == 1
+        assert scalar <= 100
+
+    def test_qpsk_s_grid_is_one_array_solve(self, monkeypatch):
+        # the same guard for the batched Newton solves (677 scalar solves
+        # when they also scored the grid)
+        batched, scalar = self.count_solves(
+            monkeypatch, 4, ("_newton_log_traces", "_newton_log_trace"))
+        assert batched == 1
+        assert scalar <= 100
+
+    def test_uncertified_grid_points_fall_back_to_single_solves(self, monkeypatch):
+        # with no Newton step allowed, no grid point certifies in the array
+        # solve; each one is then solved alone, warns and names its point
+        # exactly as when the whole grid is scored point by point
+        monkeypatch.setattr(entropies, "_NEWTON_MAX_ITER", 0)
+        grid_fn = entropies.sandwiched_up_invariant_grid
+        ranks = []
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant_grid",
+                            lambda *args: ranks.append(grid_fn(*args)) or ranks[-1])
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", entropies.ConvergenceWarning)
+                results = optimize_rate("S", 4, 0.9, [1e4, 1e6])
+            return results, [str(w.message) for w in caught
+                             if issubclass(w.category, entropies.ConvergenceWarning)]
+
+        ranked = run()
+        assert len(ranks) == 1 and np.isnan(ranks[0]).all()
+        score_grid_point_by_point(monkeypatch)
+        assert run() == ranked
+        results, messages = ranked
+        assert [r.converged for r in results] == [False, False]
+        assert [m.split(":")[0] for m in messages] == ["S rate at n=10000", "S rate at n=1e+06"]
+        assert all("first at alpha=0.05, a=1.00001 " in m for m in messages)
+        # every one of the 625 grid points warned, at both block sizes
+        assert all(int(m.split(": ")[1].split()[0]) >= 625 for m in messages)
 
     @pytest.mark.parametrize("n_states", [2, 4])
     @pytest.mark.parametrize("estimator", ["S", "AEP", "B"])
