@@ -13,7 +13,6 @@ from .entropies import (
     EntropyReport,
     bpsk_closed_forms,
     continuity_bound,
-    continuity_coeff,
     continuity_terms,
     entropy_report,
     entropy_variance_cq,
@@ -39,7 +38,6 @@ from .oracles import (
     DualityReport,
     McConfig,
     McReport,
-    brute_entropy_cq,
     duality_suite,
     erf_oracle,
     sample_heterodyne_qpsk,
@@ -61,14 +59,12 @@ from .rates import (
 from .states import (
     CQEnsemble,
     ProtocolParams,
-    SymmetryGroup,
     build_bpsk_ensemble,
     build_ensemble,
     build_qpsk_ensemble,
     cond_prob_bpsk,
     cond_prob_qpsk,
     cond_prob_table,
-    symmetry_group,
 )
 
 __version__ = "0.1.0"

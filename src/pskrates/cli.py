@@ -64,15 +64,14 @@ def _protocol_params(args) -> ProtocolParams:
                           alpha=args.alpha, eta=args.eta)
 
 
-def _add_protocol_flags(parser, with_alpha=True, with_eta=True):
+def _add_protocol_flags(parser, with_alpha=True):
     parser.add_argument("--protocol", choices=("bpsk", "qpsk"), required=True,
                         help="modulation: bpsk (N=2) or qpsk (N=4)")
     if with_alpha:
         parser.add_argument("--alpha", type=float, required=True,
                             help="coherent amplitude, >= 0")
-    if with_eta:
-        parser.add_argument("--eta", type=float, required=True,
-                            help="channel transmittance in [0, 1]")
+    parser.add_argument("--eta", type=float, required=True,
+                        help="channel transmittance in [0, 1]")
 
 
 def _add_security_flags(parser):
@@ -145,7 +144,7 @@ def _single_rates(args, specs: list[rates.Estimator], ns: list[float]) -> list[l
     return columns
 
 
-def _rate_rows(args, ns: list[float]) -> tuple[list, bool]:
+def _rate_rows(args, ns: list[float]) -> list:
     """One row per block size and listed estimator, in that order."""
     specs = [rates.estimator_spec(name) for name in args.estimator.split(",")]
     if args.optimize:
@@ -153,15 +152,13 @@ def _rate_rows(args, ns: list[float]) -> tuple[list, bool]:
                                        args.eps, args.eps_prime, args.a_max) for spec in specs]
     else:
         columns = _single_rates(args, specs, ns)
-    rows = [[r.estimator, n, args.eta, r.rate, r.alpha_opt, r.a_opt, r.leak, r.key_possible]
+    return [[r.estimator, n, args.eta, r.rate, r.alpha_opt, r.a_opt, r.leak, r.key_possible]
             for n, results in zip(ns, zip(*columns)) for r in results]
-    return rows, all(r.converged for column in columns for r in column)
 
 
 def _cmd_rate(args) -> int:
-    rows, converged = _rate_rows(args, [args.n])
-    _emit(sys.stdout, args._invocation, _RATE_HEADER, rows)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    _emit(sys.stdout, args._invocation, _RATE_HEADER, _rate_rows(args, [args.n]))
+    return EXIT_OK
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -176,12 +173,12 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.from_, args.to, args.points)
 
 
-def _sweep_point(args, value: float):
-    """Rows and convergence of one grid point of an eta, alpha or a sweep."""
+def _sweep_point(args, value: float) -> list:
+    """Rows of one grid point of an eta, alpha or a sweep."""
     args = copy.copy(args)
     setattr(args, args.variable if args.variable != "a" else "order", value)
     if args.quantity == "entropies":
-        return [_entropy_row(_protocol_params(args), args.order, args.path)], True
+        return [_entropy_row(_protocol_params(args), args.order, args.path)]
     return _rate_rows(args, [args.n])
 
 
@@ -203,18 +200,14 @@ def _cmd_sweep(args) -> int:
         if not args.optimize and args.alpha is None and args.variable != "alpha":
             raise _ParameterError("rate sweeps need --alpha or --optimize")
 
-    if args.variable == "n":  # one call per estimator over the whole grid
-        rows, converged = _rate_rows(args, grid)
-    else:
-        results = [_sweep_point(args, value) for value in grid]
-        rows = [row for chunk, _ in results for row in chunk]
-        converged = all(ok for _, ok in results)
+    rows = (_rate_rows(args, grid) if args.variable == "n"  # one call per estimator
+            else [row for value in grid for row in _sweep_point(args, value)])
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             _emit(fh, args._invocation, header, rows)
     else:
         _emit(sys.stdout, args._invocation, header, rows)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:

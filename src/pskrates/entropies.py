@@ -752,16 +752,6 @@ def continuity_terms(ensemble: CQEnsemble) -> ContinuityTerms:
     return terms
 
 
-def continuity_coeff(ensemble: CQEnsemble, a: float) -> float:
-    """Coefficient K(a) of the quadratic term in the continuity bound.
-
-    2^((a-1)(H(Y|E) - H_a)) ln^3(2^(H(Y|E) - H_2) + e^2) / (6 (2-a)^3 ln 2),
-    where H_a and H_2 are Petz-Rényi entropies. Defined for a in (1, 2);
-    the pole at a = 2 is excluded.
-    """
-    return continuity_terms(ensemble).continuity(a)[0]
-
-
 def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
     """Second-order lower bound B_a(Y|E) on the sandwiched entropy.
 

@@ -140,12 +140,3 @@ def random_pure_tripartite(dims: tuple[int, int, int], seed: int) -> np.ndarray:
     if abs(psi[0]) > 0:
         psi *= np.conj(psi[0]) / abs(psi[0])
     return psi
-
-
-def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
-    """Random density matrix of the given dimension, deterministic per seed."""
-    rank = dim if rank is None else rank
-    g = normals(philox(seed, stream=0xD0), 2 * dim * rank)
-    a = (g[: dim * rank] + 1j * g[dim * rank :]).reshape(dim, rank)
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real

@@ -20,18 +20,6 @@ class NMResult(NamedTuple):
     iterations: int
 
 
-def initial_simplex(x0: Sequence[float], step) -> list[np.ndarray]:
-    """Axis-aligned simplex around ``x0`` with per-axis ``step``."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    step = np.broadcast_to(np.asarray(step, dtype=float), x0.shape)
-    simplex = [x0.copy()]
-    for i in range(x0.size):
-        v = x0.copy()
-        v[i] += step[i]
-        simplex.append(v)
-    return simplex
-
-
 def nelder_mead(
     fn: Callable[[np.ndarray], float],
     simplex: Sequence[Sequence[float]],

@@ -1,10 +1,9 @@
 """Independent oracles for validating the main code paths.
 
 Nothing here reuses the reduced entropy formulas: the Monte-Carlo samplers
-measure the probability tables, the series erf checks the libm erf, the
-brute-force entropies work on the explicitly assembled block-diagonal
-classical-quantum state, and the duality suite exercises the general
-bipartite entropies through identities on random pure tripartite states.
+measure the probability tables, the series erf checks the libm erf, and the
+duality suite exercises the general bipartite entropies through identities
+on random pure tripartite states.
 """
 
 from __future__ import annotations
@@ -16,15 +15,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import entropies
-from .linalg import (
-    SUPPORT_CUTOFF,
-    matrix_log2,
-    matrix_power,
-    partial_trace,
-    random_pure_tripartite,
-)
+from .linalg import random_pure_tripartite
 from .rng import normals, philox
-from .states import CQEnsemble, ProtocolParams, cond_prob_table
+from .states import ProtocolParams, cond_prob_table
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -159,46 +152,6 @@ def sample_heterodyne_qpsk(cfg: McConfig) -> McReport:
         y = np.where(im > 0.0, np.where(re > 0.0, 0, 1), np.where(re > 0.0, 3, 2))
         counts[:, k] = np.bincount(y, minlength=4)
     return _report(counts, cfg.shots, np.asarray(cond_prob_table(p)))
-
-
-def assemble_cq_state(ensemble: CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit block-diagonal rho_YE and I_Y x rho_E on the N*dim space."""
-    n, d = ensemble.n_states, ensemble.dim
-    rho = np.zeros((n * d, n * d), dtype=complex)
-    for y, (p, state) in enumerate(zip(ensemble.probs, ensemble.cond_states)):
-        rho[y * d : (y + 1) * d, y * d : (y + 1) * d] = p * state
-    return rho, np.kron(np.eye(n), ensemble.avg_state)
-
-
-def brute_entropy_cq(ensemble: CQEnsemble, a: float | None, kind: str) -> float:
-    """Entropy functionals evaluated on the assembled block matrices.
-
-    No symmetry reduction and no block shortcuts: the definitional formulas
-    act on the full (N dim)-dimensional operators. ``kind`` selects among
-    petz_down, petz_up, sand_down, von_neumann and variance; the Rényi kinds
-    require ``a``.
-    """
-    rho, conditioner = assemble_cq_state(ensemble)
-    dims = (ensemble.n_states, ensemble.dim)
-    if kind == "petz_down":
-        t = np.trace(matrix_power(rho, a) @ matrix_power(conditioner, 1.0 - a)).real
-        return math.log2(t) / (1.0 - a)
-    if kind == "petz_up":
-        reduced = partial_trace(matrix_power(rho, a), dims, keep="B")
-        return a / (1.0 - a) * math.log2(np.trace(matrix_power(reduced, 1.0 / a)).real)
-    if kind == "sand_down":
-        x = matrix_power(conditioner, (1.0 - a) / (2.0 * a))
-        lam = np.linalg.eigvalsh(x @ rho @ x)
-        lam = lam[lam > SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)]
-        return math.log2(float((lam**a).sum())) / (1.0 - a)
-    if kind == "von_neumann":
-        diff = matrix_log2(rho) - matrix_log2(conditioner)
-        return -np.trace(rho @ diff).real
-    if kind == "variance":
-        diff = matrix_log2(rho) - matrix_log2(conditioner)
-        first = np.trace(rho @ diff @ diff).real
-        return float(first - np.trace(rho @ diff).real ** 2)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def marginal_pair(psi: np.ndarray, dims: tuple[int, int, int]):

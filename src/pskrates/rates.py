@@ -204,6 +204,10 @@ def estimator_spec(name: str) -> Estimator:
     return ESTIMATORS[key]
 
 
+def _at(alpha: float, a: float | None) -> str:
+    return f"alpha={alpha:.6g}" + ("" if a is None else f", a={a:.6g}")
+
+
 def optimize_rate(
     estimator: str,
     n_states: int,
@@ -230,7 +234,8 @@ def optimize_rate(
 
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
-    names the estimator, n and the first (alpha, a) that warned.
+    names the estimator, n and the first (alpha, a) that warned. Nelder-Mead
+    stopping at its iteration cap does the same with the (alpha, a) reached.
     """
     spec = estimator_spec(estimator)
     if spec.takes_order:
@@ -317,17 +322,21 @@ def optimize_rate(
         best_rate = -refined.fun
         alpha_opt, log_a_opt = clip(refined.x)
 
+        a_opt = 1.0 + math.exp(log_a_opt) if spec.takes_order else None
         if warned:
             alpha_w, a_w, message = warned[0]
-            at = f"alpha={alpha_w:.6g}" + ("" if a_w is None else f", a={a_w:.6g}")
             warnings.warn(f"{spec.name} rate at n={base.n:g}: {len(warned)} entropy "
-                          f"evaluation(s) did not converge, first at {at} ({message})",
-                          entropies.ConvergenceWarning, stacklevel=3)
+                          f"evaluation(s) did not converge, first at {_at(alpha_w, a_w)} "
+                          f"({message})", entropies.ConvergenceWarning, stacklevel=3)
+        if not refined.converged:
+            warnings.warn(f"{spec.name} rate at n={base.n:g}: Nelder-Mead did not converge "
+                          f"in {refined.iterations} iterations, stopped at "
+                          f"{_at(alpha_opt, a_opt)}", entropies.ConvergenceWarning, stacklevel=3)
         return RateResult(
             estimator=spec.name,
             rate=float(best_rate),
             alpha_opt=float(alpha_opt),
-            a_opt=1.0 + math.exp(log_a_opt) if spec.takes_order else None,
+            a_opt=a_opt,
             leak=leak(ProtocolParams(n_states=n_states, alpha=alpha_opt, eta=eta)),
             key_possible=bool(best_rate > 0.0),
             converged=bool(refined.converged) and not warned,

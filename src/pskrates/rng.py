@@ -15,7 +15,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def philox(seed: int, stream: int = 0) -> np.random.Generator:
+def philox(seed: int, stream: int) -> np.random.Generator:
     """Generator backed by Philox with a (seed, stream) composite key."""
     key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))

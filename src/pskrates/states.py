@@ -128,7 +128,7 @@ class CQEnsemble:
             raise ValueError("conditional state is not positive semidefinite")
         # The reduced entropy formulas use rho_{E|0} alone, which needs all
         # conditional states unitarily equivalent: matching spectra are a
-        # cheap necessary condition. ``symmetry_group`` checks the rest.
+        # cheap necessary condition; the tests check the full symmetry group.
         if np.abs(spectra - spectra[0]).max() > 1e-9:
             raise ValueError("conditional states are not unitarily equivalent; "
                              "the symmetry reduction does not apply")
@@ -207,37 +207,3 @@ def build_qpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
 def build_ensemble(params: ProtocolParams) -> CQEnsemble:
     """Ensemble for either protocol."""
     return build_bpsk_ensemble(params) if params.n_states == 2 else build_qpsk_ensemble(params)
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetryGroup:
-    """Unitaries U_t with U_t rho_{E|y} U_t^dag = rho_{E|y+t mod N}."""
-
-    n_states: int
-    unitaries: tuple
-
-
-def symmetry_group(ensemble: CQEnsemble) -> SymmetryGroup:
-    """Phase-rotation group of the ensemble in its stored basis.
-
-    U_t = diag(1, (-1)^t) for N=2 and diag_s(exp(-2 pi i s t / N)) for N=4.
-    Raises if any group invariant is violated beyond 1e-9, which signals a
-    construction bug in the ensemble.
-    """
-    n = ensemble.n_states
-    s = np.arange(n)
-    unitaries = tuple(np.diag(np.exp(-2j * np.pi * s * t / n)) for t in range(n))
-    for t, u in enumerate(unitaries):
-        if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-12:
-            raise ValueError("symmetry unitary is not unitary")
-        if np.abs(u @ ensemble.avg_state @ u.conj().T - ensemble.avg_state).max() > 1e-9:
-            raise ValueError("average state is not invariant under the symmetry group")
-        for y in range(n):
-            mapped = u @ ensemble.cond_states[y] @ u.conj().T
-            if np.abs(mapped - ensemble.cond_states[(y + t) % n]).max() > 1e-9:
-                raise ValueError(
-                    f"symmetry violated: U_{t} does not map state {y} to state {(y + t) % n}"
-                )
-    for u in unitaries:
-        u.setflags(write=False)
-    return SymmetryGroup(n_states=n, unitaries=unitaries)

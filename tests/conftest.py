@@ -29,6 +29,13 @@ def score_grid_point_by_point(monkeypatch):
     monkeypatch.setitem(rates.ESTIMATORS, "S", spec)
 
 
+def cap_nelder_mead(monkeypatch):
+    """Stop every Nelder-Mead refinement of ``optimize_rate`` after two iterations."""
+    nelder_mead = rates.nelder_mead
+    monkeypatch.setattr(rates, "nelder_mead", lambda fn, simplex, **kwargs: nelder_mead(
+        fn, simplex, **{**kwargs, "max_iter": 2}))
+
+
 @pytest.fixture(scope="session")
 def bpsk_ref():
     """Reference two-state ensemble at alpha=1, eta=0.9."""

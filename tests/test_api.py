@@ -1,0 +1,32 @@
+"""The documented library API and the names the benchmark's tracer looks up."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_tour_runs(capsys):
+    # the first Python block of README.md, run as a reader would paste it
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(line.split()[-1] == "True" for line in lines)
+
+
+def test_traced_names_exist():
+    # loaded by file path: putting pskbench/ on sys.path would let its
+    # reference.py shadow the tests' reference module
+    spec = importlib.util.spec_from_file_location("pskbench_tracer",
+                                                  ROOT / "pskbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = [(module, name) for module, names in tracer.TRACED.values() for name in names]
+    wanted += [("pskrates.rates", name) for name in tracer.OBJECTIVE]
+    missing = [f"{module}.{name}" for module, name in wanted
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert wanted
+    assert missing == []

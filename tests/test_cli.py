@@ -17,7 +17,7 @@ from pskrates.cli import (
 )
 from pskrates.states import ProtocolParams, build_ensemble
 
-from conftest import score_grid_point_by_point
+from conftest import cap_nelder_mead, score_grid_point_by_point
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +180,21 @@ class TestRate:
         assert out == ""
         assert "S rate at n=1e+06" in err
         assert "first at alpha=0.05, a=1.00001" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--estimator", "S", "--n", "1e4"),
+        ("sweep", "--variable", "n", "--from", "1e4", "--to", "1e6", "--points", "2",
+         "--scale", "log", "--quantity", "rate", "--estimator", "AEP"),
+    ])
+    def test_nelder_mead_cap_exits_three_without_csv(self, capsys, monkeypatch, argv):
+        # the search stops short of its tolerance and no entropy warns
+        cap_nelder_mead(monkeypatch)
+        code, out, err = run_cli(capsys, *argv, "--protocol", "bpsk", "--eta", "0.9",
+                                 "--optimize")
+        assert code == EXIT_NONCONVERGED
+        assert out == ""
+        assert f"{argv[argv.index('--estimator') + 1]} rate at n=10000: Nelder-Mead" in err
+        assert "did not converge in 2 iterations, stopped at alpha=" in err
 
     def test_bpsk_order_cap_64(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--protocol", "bpsk",

@@ -14,7 +14,6 @@ from pskrates.entropies import (
     _invariant_objective,
     bpsk_closed_forms,
     continuity_bound,
-    continuity_coeff,
     continuity_terms,
     entropy_report,
     entropy_variance_cq,
@@ -28,12 +27,13 @@ from pskrates.entropies import (
     sandwiched_up_invariant,
     von_neumann_cq,
 )
-from pskrates.linalg import matrix_power, random_density
-from pskrates.oracles import assemble_cq_state, marginal_pair
-from pskrates.optimize import initial_simplex, nelder_mead
+from pskrates.linalg import matrix_power
+from pskrates.oracles import marginal_pair
+from pskrates.optimize import nelder_mead
 from pskrates.states import ProtocolParams, build_ensemble
 
 from conftest import philox_rng, random_protocol
+from reference import assemble_cq_state, brute_entropy_cq, initial_simplex, random_density
 
 
 def petz_down_unreduced(ensemble, a):
@@ -126,7 +126,6 @@ class TestVariance:
                 assert entropy_variance_cq(ensemble) >= -1e-10
 
     def test_blockwise_equals_full_matrix(self):
-        from pskrates.oracles import brute_entropy_cq
         ensemble = build_ensemble(ProtocolParams(2, 1.0, 0.6))
         brute = brute_entropy_cq(ensemble, None, "variance")
         assert abs(entropy_variance_cq(ensemble) - brute) <= 1e-10
@@ -139,23 +138,23 @@ class TestContinuityBound:
     def test_coefficient_positive(self, bpsk_ref, qpsk_ref):
         for ensemble in (bpsk_ref, qpsk_ref):
             for a in (1.05, 1.2, 1.5, 1.9):
-                assert continuity_coeff(ensemble, a) > 0.0
+                assert continuity_terms(ensemble).continuity(a)[0] > 0.0
 
     def test_coefficient_rejects_pole_and_below_one(self, bpsk_ref):
         for bad in (1.0, 0.8, 2.0, 2.5):
             with pytest.raises(ValueError):
-                continuity_coeff(bpsk_ref, bad)
+                continuity_terms(bpsk_ref).continuity(bad)[0]
 
     def test_quadratic_term_vanishes_toward_one(self, bpsk_ref):
         a = 1.0 + 1e-4
-        assert (a - 1.0) ** 2 * continuity_coeff(bpsk_ref, a) <= 1e-6
+        assert (a - 1.0) ** 2 * continuity_terms(bpsk_ref).continuity(a)[0] <= 1e-6
 
     def test_composed_independently(self):
         ensemble = build_ensemble(ProtocolParams(2, 1.0, 0.6))
         a = 1.2
         expected = (von_neumann_cq(ensemble)
                     - (a - 1.0) * math.log(2.0) / 2.0 * entropy_variance_cq(ensemble)
-                    - (a - 1.0) ** 2 * continuity_coeff(ensemble, a))
+                    - (a - 1.0) ** 2 * continuity_terms(ensemble).continuity(a)[0])
         assert abs(continuity_bound(ensemble, a) - expected) <= 1e-12
 
     def test_cached_terms_equal_the_direct_formula(self):
@@ -173,7 +172,7 @@ class TestContinuityBound:
                      / (6.0 * (2.0 - a) ** 3 * math.log(2.0))
                      * math.log(2.0 ** (h - h_2) + math.e**2) ** 3)
                 expected = h - (a - 1.0) * math.log(2.0) / 2.0 * v - (a - 1.0) ** 2 * k
-                assert continuity_coeff(ensemble, a) == k
+                assert continuity_terms(ensemble).continuity(a)[0] == k
                 assert continuity_bound(ensemble, a) == expected
 
     def test_second_order_needs_no_eigensolve(self, monkeypatch):
@@ -186,7 +185,7 @@ class TestContinuityBound:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         continuity_bound(ensemble, 1.7)
-        continuity_coeff(ensemble, 1.05)
+        continuity_terms(ensemble).continuity(1.05)[0]
         assert calls == []
         build_ensemble(ProtocolParams(4, 1.1, 0.8))
         assert calls  # the counter sees eigensolves

@@ -8,11 +8,11 @@ from pskrates.linalg import (
     matrix_log2,
     matrix_power,
     partial_trace,
-    random_density,
     random_pure_tripartite,
 )
 
 from conftest import philox_rng
+from reference import random_density
 
 
 def random_hermitian(rng, dim):

@@ -6,7 +6,6 @@ import pytest
 import pskrates.entropies as entropies
 from pskrates.oracles import (
     McConfig,
-    brute_entropy_cq,
     duality_suite,
     erf_oracle,
     marginal_pair,
@@ -17,6 +16,7 @@ from pskrates.linalg import random_pure_tripartite
 from pskrates.states import ProtocolParams, build_ensemble, cond_prob_table
 
 from conftest import philox_rng, random_protocol
+from reference import brute_entropy_cq
 
 
 class TestErfOracle:

@@ -23,7 +23,7 @@ from pskrates.rates import (
 )
 from pskrates.states import ProtocolParams, build_ensemble, cond_prob_table
 
-from conftest import philox_rng, random_protocol, score_grid_point_by_point
+from conftest import cap_nelder_mead, philox_rng, random_protocol, score_grid_point_by_point
 
 
 def leak_from_table(table):
@@ -250,6 +250,27 @@ class TestOptimizeRate:
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, entropies.ConvergenceWarning)]
         assert [m.split(":")[0] for m in messages] == ["S rate at n=1e+06", "S rate at n=10000"]
+
+    def test_nelder_mead_cap_warns_after_the_entropy_summary(self, monkeypatch):
+        def stub(ensemble, a):
+            warnings.warn("invariant-state optimization did not reach tolerance",
+                          entropies.ConvergenceWarning, stacklevel=2)
+            return 1.0 - 0.1 * (ensemble.params.alpha - 1.0) ** 2
+
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        cap_nelder_mead(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            [result] = optimize_rate("S", 2, 0.9, [1e6])
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, entropies.ConvergenceWarning)]
+        assert not result.converged
+        assert len(messages) == 2
+        assert messages[0].startswith("S rate at n=1e+06: ")
+        assert "entropy evaluation(s) did not converge" in messages[0]
+        assert messages[1] == (f"S rate at n=1e+06: Nelder-Mead did not converge in 2 "
+                               f"iterations, stopped at alpha={result.alpha_opt:.6g}, "
+                               f"a={result.a_opt:.6g}")
 
     @staticmethod
     def count_solves(monkeypatch, n_states, names):

@@ -13,10 +13,10 @@ from pskrates.states import (
     cond_prob_bpsk,
     cond_prob_qpsk,
     cond_prob_table,
-    symmetry_group,
 )
 
 from conftest import philox_rng, random_protocol
+from reference import symmetry_group
 
 
 def coherent_overlap(beta1: complex, beta2: complex) -> complex:
