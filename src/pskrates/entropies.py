@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .linalg import matrix_log2, matrix_power, partial_trace
+from .linalg import matrix_power, partial_trace
 from .states import CQEnsemble, ProtocolParams
 
 LN2 = math.log(2.0)
@@ -67,30 +67,18 @@ def _tr_power(matrix: np.ndarray, a: float) -> float:
         return float((lam**a).sum())
 
 
-def _entropy_bits(matrix: np.ndarray) -> float:
-    """Spectral entropy -sum lam log2 lam over the support."""
-    lam = np.linalg.eigvalsh(matrix)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0
-
-
-def _petz_down(n_states: int, rho0: linalg.Spectrum,
-               avg: linalg.Spectrum, a: float) -> float:
-    """log2 N + log2 tr(rho_{E|0}^a rho_E^(1-a)) / (1 - a) from the support spectra."""
-    a = _check_order(a)
-    t = np.trace(linalg.apply_on_support(rho0, lambda lam: lam**a)
-                 @ linalg.apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
-    return math.log2(n_states) + math.log2(t) / (1.0 - a)
-
-
 def petz_down_cq(ensemble: CQEnsemble, a: float) -> float:
     """Petz-Rényi conditional entropy of the ensemble, reduced form.
 
     log2 N + log2 tr(rho_{E|0}^a rho_E^(1-a)) / (1 - a), with powers
     restricted to the support.
     """
-    return _petz_down(ensemble.n_states, linalg.support_spectrum(ensemble.cond_states[0]),
-                      linalg.support_spectrum(ensemble.avg_state), a)
+    a = _check_order(a)
+    rho0 = linalg.support_spectrum(ensemble.cond_states[0])
+    avg = linalg.support_spectrum(ensemble.avg_state)
+    t = np.trace(linalg.apply_on_support(rho0, lambda lam: lam**a)
+                 @ linalg.apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
+    return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
 
 
 def petz_up_cq(ensemble: CQEnsemble, a: float) -> float:
@@ -653,65 +641,80 @@ def sandwiched_up_invariant_grid(rho0s: np.ndarray, orders) -> np.ndarray:
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:
-    """Conditional von Neumann entropy H(Y|E) in bits.
-
-    log2 N + mean_y S(rho_{E|y}) - S(rho_E), from the block structure of the
-    classical-quantum state.
-    """
-    avg_term = _entropy_bits(ensemble.avg_state)
-    cond_term = sum(p * _entropy_bits(rho)
-                    for p, rho in zip(ensemble.probs, ensemble.cond_states))
-    return float(math.log2(ensemble.n_states) + cond_term - avg_term)
+    """Conditional von Neumann entropy H(Y|E) in bits (see ``ContinuityTerms``)."""
+    return continuity_terms(ensemble).von_neumann
 
 
 def entropy_variance_cq(ensemble: CQEnsemble) -> float:
-    """Conditional entropy variance V(Y|E) in bits^2.
-
-    tr[rho_YE (log2 rho_YE - log2 I x rho_E)^2] - D(rho_YE || I x rho_E)^2,
-    evaluated block by block: block y carries p_y rho_{E|y} against rho_E.
-    """
-    log_avg = matrix_log2(ensemble.avg_state)
-    first = 0.0
-    divergence = 0.0
-    for p, rho in zip(ensemble.probs, ensemble.cond_states):
-        diff = matrix_log2(p * rho) - log_avg
-        first += p * np.trace(rho @ diff @ diff).real
-        divergence += p * np.trace(rho @ diff).real
-    return float(first - divergence**2)
-
-
-def _continuity_order(a: float) -> float:
-    a = float(a)
-    if not 1.0 < a <= CONTINUITY_A_MAX:
-        raise ValueError(f"continuity coefficient needs a in (1, {CONTINUITY_A_MAX}], got {a}")
-    return a
+    """Conditional entropy variance V(Y|E) in bits^2 (see ``ContinuityTerms``)."""
+    return continuity_terms(ensemble).variance
 
 
 @dataclass(frozen=True, eq=False)
 class ContinuityTerms:
     """The amplitude-only terms of the continuity bound of one ensemble.
 
-    H(Y|E), V(Y|E) and the Petz-Rényi H_2 are fixed by the ensemble; only
-    H_a changes with the order, and it is a matrix-power step on the stored
-    support spectra of rho_{E|0} and rho_E, the same arithmetic as
-    ``petz_down_cq``. Holds no reference to the ensemble, so the memo in
-    ``continuity_terms`` never keeps one alive.
+    Each is a classical functional of the Nussbaum-Szkoła distributions
+    P_ij = l_i W_ij and Q_ij = m_j W_ij (Ann. Statist. 37, 2009), with l and
+    u_i from one ``eigh`` of rho_{E|0}, m the diagonal of rho_E (diagonal by
+    construction) and W_ij = |<j|u_i>|^2. By symmetry block 0 of rho_YE
+    stands for all N blocks:
+
+    * H(Y|E) = log2 N - sum l log2 l + sum m log2 m;
+    * V(Y|E) = sum P (X - D)^2, X_ij = log2(l_i / N) - log2 m_j, D = sum P X;
+      two passes, so nothing cancels on near-pure states;
+    * H_a = log2 N + log2(l^a . W . m^(1-a)) / (1 - a): a dot product per order.
+
+    H and V take every positive eigenvalue: weight below the support cut
+    still counts in them (zeroing its log moves V by 1e-12 on near-pure
+    QPSK states). H_a takes the supports of ``support_spectrum`` (the 1e-12
+    relative cut on both spectra), like ``petz_down_cq``, which it matches
+    to a few ulps of the log-trace. Holds no reference to the ensemble, so
+    the memo never keeps one alive.
     """
 
     n_states: int
     von_neumann: float
     variance: float
-    petz_2: float
-    rho0: linalg.Spectrum
-    avg: linalg.Spectrum
+    l: np.ndarray  # eigenvalues of rho_{E|0} on its support
+    w: np.ndarray  # W on both supports
+    m: np.ndarray  # diagonal of rho_E on its support
+    petz_2: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "petz_2", self.petz_down(2.0))
+
+    @classmethod
+    def from_ensemble(cls, ensemble: CQEnsemble) -> "ContinuityTerms":
+        """The terms of one ensemble, from one ``eigh`` of rho_{E|0}."""
+        n = ensemble.n_states
+        lam, u = np.linalg.eigh(ensemble.cond_states[0])
+        m = np.diag(ensemble.avg_state).real
+        w = np.abs(u.T) ** 2
+        pos_l, pos_m = lam > 0.0, m > 0.0
+        l_pos, m_pos = lam[pos_l], m[pos_m]
+        p = l_pos[:, None] * w[pos_l][:, pos_m]
+        x = np.log2(l_pos / n)[:, None] - np.log2(m_pos)
+        d = float((p * x).sum())
+        sup_l = lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)
+        sup_m = m > linalg.SUPPORT_CUTOFF * float(m.max())
+        support = (lam[sup_l], w[sup_l][:, sup_m], m[sup_m])
+        for arr in support:
+            arr.setflags(write=False)
+        return cls(n, float(math.log2(n) - l_pos @ np.log2(l_pos) + m_pos @ np.log2(m_pos)),
+                   float((p * (x - d) ** 2).sum()), *support)
 
     def petz_down(self, a: float) -> float:
-        """Petz-Rényi H_a(Y|E), equal to ``petz_down_cq`` bit for bit."""
-        return _petz_down(self.n_states, self.rho0, self.avg, a)
+        """Petz-Rényi H_a(Y|E), within a few ulps of ``petz_down_cq``'s log-trace."""
+        a = _check_order(a)
+        t = float(self.l**a @ self.w @ self.m ** (1.0 - a))
+        return math.log2(self.n_states) + math.log2(t) / (1.0 - a)
 
     def continuity(self, a: float) -> tuple[float, float]:
         """(K(a), B_a) at an order a in (1, CONTINUITY_A_MAX]."""
-        a = _continuity_order(a)
+        a = float(a)
+        if not 1.0 < a <= CONTINUITY_A_MAX:
+            raise ValueError(f"continuity coefficient needs a in (1, {CONTINUITY_A_MAX}], got {a}")
         h = self.von_neumann
         scale = 2.0 ** ((a - 1.0) * (h - self.petz_down(a))) / (6.0 * (2.0 - a) ** 3 * LN2)
         k = scale * math.log(2.0 ** (h - self.petz_2) + math.e**2) ** 3
@@ -723,7 +726,7 @@ class ContinuityTerms:
 #: arrays). One slot suffices: ``optimize_rate`` scans its grid one
 #: amplitude at a time and nearly every Nelder-Mead step brings a new one,
 #: so a slot per live ensemble saves about 3% of the solves and holds
-#: about 2 kB per amplitude for the whole search.
+#: under 1 kB per amplitude for the whole search.
 _TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -735,18 +738,7 @@ def continuity_terms(ensemble: CQEnsemble) -> ContinuityTerms:
     """
     terms = _TERMS.get(ensemble)
     if terms is None:
-        rho0 = linalg.support_spectrum(ensemble.cond_states[0])
-        avg = linalg.support_spectrum(ensemble.avg_state)
-        for arr in (*rho0, *avg):
-            arr.setflags(write=False)
-        terms = ContinuityTerms(
-            n_states=ensemble.n_states,
-            von_neumann=von_neumann_cq(ensemble),
-            variance=entropy_variance_cq(ensemble),
-            petz_2=_petz_down(ensemble.n_states, rho0, avg, 2.0),
-            rho0=rho0,
-            avg=avg,
-        )
+        terms = ContinuityTerms.from_ensemble(ensemble)
         _TERMS.clear()
         _TERMS[ensemble] = terms
     return terms
@@ -785,7 +777,7 @@ def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
     if 1.0 < a <= CONTINUITY_A_MAX:
         k, b = terms.continuity(a)
     return EntropyReport(
-        petz_down=terms.petz_down(a),
+        petz_down=petz_down_cq(ensemble, a),
         petz_up=petz_up_cq(ensemble, a),
         sand_down=sandwiched_down_cq(ensemble, a),
         sand_up=sandwiched_up_invariant(ensemble, a) if a >= 0.5 else math.nan,

@@ -10,6 +10,7 @@ import pskrates.entropies as entropies
 from pskrates.entropies import (
     BpskClosedFormInputs,
     CONTINUITY_A_MAX,
+    ContinuityTerms,
     ConvergenceWarning,
     _invariant_objective,
     bpsk_closed_forms,
@@ -133,6 +134,19 @@ class TestVariance:
         brute = brute_entropy_cq(ensemble, None, "variance")
         assert abs(entropy_variance_cq(ensemble) - brute) <= 1e-10
 
+    @pytest.mark.parametrize("alpha, eta, exact", [
+        (0.08661657702982738, 0.9770300362670954, 1.2546061010401159e-4),
+        (0.13860393710191138, 0.9945336061284367, 2.2181591033572461e-4),
+    ])
+    def test_near_pure_qpsk_keeps_every_eigenvalue(self, alpha, eta, exact):
+        # Both states have an eigenvalue of rho_{E|0} and of rho_E below the
+        # 1e-12 support cut, yet weight on them still counts. References:
+        # mpmath at 50 digits, mp.eigh of the stored rho_{E|0} (converted
+        # exactly from its float entries) and the stored diagonal of rho_E,
+        # then sum P (X - D)^2 over every eigenvalue as in ContinuityTerms.
+        ensemble = build_ensemble(ProtocolParams(4, alpha, eta))
+        assert abs(entropy_variance_cq(ensemble) - exact) <= 1e-15
+
 
 class TestContinuityBound:
     def test_coefficient_positive(self, bpsk_ref, qpsk_ref):
@@ -166,14 +180,38 @@ class TestContinuityBound:
                       CONTINUITY_A_MAX)
             ensemble = build_ensemble(params)
             h, v = von_neumann_cq(ensemble), entropy_variance_cq(ensemble)
-            h_2 = petz_down_cq(ensemble, 2.0)
+            fresh = ContinuityTerms.from_ensemble(ensemble)  # built anew, outside the memo
+            h_2 = fresh.petz_down(2.0)
             for a in orders:
-                k = (2.0 ** ((a - 1.0) * (h - petz_down_cq(ensemble, a)))
+                k = (2.0 ** ((a - 1.0) * (h - fresh.petz_down(a)))
                      / (6.0 * (2.0 - a) ** 3 * math.log(2.0))
                      * math.log(2.0 ** (h - h_2) + math.e**2) ** 3)
                 expected = h - (a - 1.0) * math.log(2.0) / 2.0 * v - (a - 1.0) ** 2 * k
                 assert continuity_terms(ensemble).continuity(a)[0] == k
                 assert continuity_bound(ensemble, a) == expected
+
+    def test_terms_petz_matches_the_matrix_path(self):
+        # (1 - a) H_a is log2 N (1 - a) + log2 T: the two paths agree to a
+        # few ulps of log2 T, however close the order is to 1
+        rng = philox_rng(307)
+        for i in range(200):
+            ensemble = build_ensemble(
+                random_protocol(rng, (2, 4)[i % 2], alpha_range=(0.05, 3.0)))
+            a = rng.uniform(1.0 + 1e-9, 2.0)
+            gap = (1.0 - a) * (continuity_terms(ensemble).petz_down(a)
+                               - petz_down_cq(ensemble, a))
+            assert abs(gap) <= 4e-15
+
+    def test_terms_take_one_eigh(self, monkeypatch):
+        ensemble = build_ensemble(ProtocolParams(4, 1.1, 0.8))
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        continuity_terms(ensemble)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_second_order_needs_no_eigensolve(self, monkeypatch):
         ensemble = build_ensemble(ProtocolParams(4, 1.1, 0.8))
