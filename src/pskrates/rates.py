@@ -276,7 +276,7 @@ def optimize_rate(
         grid = [(al,) for al in alphas]
     ranks = [math.nan] * len(grid)
     if spec.grid_fn:  # rank only; see the docstring
-        rho0s = np.array([ensemble(point[0]).cond_states[0] for point in grid])
+        rho0s = np.array([ensemble(point[0]).rho0 for point in grid])
         orders = [1.0 + math.exp(log_a) for _, log_a in grid]
         ranks = getattr(entropies, spec.grid_fn)(rho0s, orders).tolist()
     grid_terms = [term(*point) if math.isnan(h) else

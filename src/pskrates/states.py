@@ -5,7 +5,10 @@ channel of transmittance eta; Bob keeps the transmitted part and decodes by
 homodyne (N=2) or heterodyne (N=4) detection, while a passive eavesdropper
 holds the reflected amplitude gamma = sqrt(1-eta)*alpha. This module builds
 the conditional probability tables p(y|x) and the classical-quantum
-ensemble of Eve's states in a finite orthonormal basis.
+ensemble of Eve's states in a finite orthonormal basis. In both bases Eve's
+state given symbol y is rho_{E|y} = U_y rho_{E|0} U_y^dag with
+U_y = diag_s(exp(-2 pi i s y / N)), so only rho_{E|0} and diag(rho_E) are
+stored.
 
 Basis conventions (fixed so stored matrices are bit-reproducible):
 
@@ -14,8 +17,7 @@ Basis conventions (fixed so stored matrices are bit-reproducible):
 * N=4: psi_s basis, s = 0..3, |psi_s> proportional to
   sum_k exp(+i pi s k / 2) |gamma_k> with 1/N_s^2 = 1 + exp(-2 gamma^2)
   cos(pi s) + 2 exp(-gamma^2) cos(gamma^2 + pi s / 2). With this pairing
-  the conditional states carry phases exp(-i pi (s - s') k / 2) and the
-  symmetry unitaries are diag_s(exp(-2 pi i s t / N)).
+  the conditional states carry phases exp(-i pi (s - s') k / 2).
 
 When a basis normalization (c_- or 1/N_s^2) falls below DEGENERACY_CUTOFF
 the corresponding basis vector keeps its slot with a zeroed row and column,
@@ -32,8 +34,6 @@ import numpy as np
 
 #: Basis weights below this are zeroed out (rank-deficient limit eta -> 1).
 DEGENERACY_CUTOFF = 1e-14
-
-_ENSEMBLE_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,50 +96,32 @@ def cond_prob_table(params: ProtocolParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CQEnsemble:
-    """Eve's classical-quantum ensemble in the stored orthonormal basis.
+    """Eve's classical-quantum ensemble: ``rho0`` = rho_{E|0} and diag(rho_E).
 
-    ``cond_states[y]`` is Eve's state given Bob's symbol y, ``probs`` the
-    (uniform) symbol distribution and ``avg_state`` their mixture, diagonal
-    in the stored basis. All arrays are read-only. Construction rejects
-    conditional states with different spectra, on which the one-term
-    symmetry reduction of the entropies would be wrong.
+    Bob's symbol y is uniform and rho_{E|y} = U_y rho_{E|0} U_y^dag, so every
+    conditional state has the spectrum of ``rho0``, as the one-term symmetry
+    reduction of the entropies needs. Their mixture rho_E is the pinching of
+    ``rho0``: diagonal, with ``avg_diag`` = diag(rho0). Both are read-only.
     """
 
     params: ProtocolParams
-    probs: np.ndarray
-    cond_states: tuple
-    avg_state: np.ndarray
+    rho0: np.ndarray
+    avg_diag: np.ndarray
 
     def __post_init__(self):
         n = self.params.n_states
-        if len(self.cond_states) != n or self.avg_state.shape != (n, n):
+        if self.rho0.shape != (n, n) or self.avg_diag.shape != (n,):
             raise ValueError("ensemble arrays do not match the modulation size")
-        mix = sum(p * rho for p, rho in zip(self.probs, self.cond_states))
-        if np.abs(mix - self.avg_state).max() > 1e-12:
-            raise ValueError("average state is not the mixture of the conditional states")
-        off = self.avg_state - np.diag(np.diag(self.avg_state))
-        if np.abs(off).max() > 1e-12:
-            raise ValueError("average state is not diagonal in the stored basis")
-        states = np.array(self.cond_states)
-        if np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0).max() > _ENSEMBLE_ATOL:
+        if np.abs(self.avg_diag - np.diag(self.rho0).real).max() > 1e-12:
+            raise ValueError("avg_diag is not the diagonal of the mixture, diag(rho0)")
+        if abs(np.trace(self.rho0).real - 1.0) > 1e-10:
             raise ValueError("conditional state trace differs from 1")
-        spectra = np.linalg.eigvalsh(states)
-        if spectra.min() < -_ENSEMBLE_ATOL:
+        if np.linalg.eigvalsh(self.rho0)[0] < -1e-10:
             raise ValueError("conditional state is not positive semidefinite")
-        # The reduced entropy formulas use rho_{E|0} alone, which needs all
-        # conditional states unitarily equivalent: matching spectra are a
-        # cheap necessary condition; the tests check the full symmetry group.
-        if np.abs(spectra - spectra[0]).max() > 1e-9:
-            raise ValueError("conditional states are not unitarily equivalent; "
-                             "the symmetry reduction does not apply")
 
     @property
     def n_states(self) -> int:
         return self.params.n_states
-
-    @property
-    def dim(self) -> int:
-        return self.avg_state.shape[0]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -151,8 +133,8 @@ def build_bpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
     """Two-state ensemble in the psi_pm basis.
 
     Eve's conditional states are (1/2)[c_+ |+><+| + c_- |-><-|
-    +- erf(sqrt(2 eta) alpha) sqrt(c_+ c_-) (|+><-| + h.c.)] and the average
-    is diag(c_+, c_-)/2.
+    +- erf(sqrt(2 eta) alpha) sqrt(c_+ c_-) (|+><-| + h.c.)], the + sign
+    for y = 0, and the average is diag(c_+, c_-)/2.
     """
     if params.n_states != 2:
         raise ValueError("build_bpsk_ensemble requires n_states == 2")
@@ -164,21 +146,15 @@ def build_bpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
     r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
     off = r * math.sqrt(c_plus * c_minus) / 2.0
     rho0 = np.array([[c_plus / 2.0, off], [off, c_minus / 2.0]], dtype=complex)
-    rho1 = np.array([[c_plus / 2.0, -off], [-off, c_minus / 2.0]], dtype=complex)
-    avg = np.diag([c_plus / 2.0, c_minus / 2.0]).astype(complex)
-    return CQEnsemble(
-        params=params,
-        probs=_freeze(np.full(2, 0.5)),
-        cond_states=(_freeze(rho0), _freeze(rho1)),
-        avg_state=_freeze(avg),
-    )
+    return CQEnsemble(params=params, rho0=_freeze(rho0),
+                      avg_diag=_freeze(np.array([c_plus / 2.0, c_minus / 2.0])))
 
 
 def build_qpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
     """Four-state ensemble in the psi_s basis.
 
-    With w_s = sqrt(1/N_s^2)/2 the conditional states are
-    rho[s, s'] = w_s w_s' sum_k p(y|k) exp(-i pi (s - s') k / 2) and the
+    With w_s = sqrt(1/N_s^2)/2 the conditional state of y = 0 is
+    rho[s, s'] = w_s w_s' sum_k p(0|k) exp(-i pi (s - s') k / 2) and the
     average is diag(1/(4 N_s^2)).
     """
     if params.n_states != 4:
@@ -190,18 +166,8 @@ def build_qpsk_ensemble(params: ProtocolParams) -> CQEnsemble:
     norms = np.where(norms < DEGENERACY_CUTOFF, 0.0, norms)
     weights = np.sqrt(norms) / 2.0
     phases = np.exp(-1j * np.pi * np.outer(s, np.arange(4)) / 2.0)
-    table = cond_prob_qpsk(params)
-    outer = np.outer(weights, weights)
-    states = tuple(
-        _freeze(outer * ((phases * table[y]) @ phases.conj().T)) for y in range(4)
-    )
-    avg = np.diag(norms / 4.0).astype(complex)
-    return CQEnsemble(
-        params=params,
-        probs=_freeze(np.full(4, 0.25)),
-        cond_states=states,
-        avg_state=_freeze(avg),
-    )
+    rho0 = np.outer(weights, weights) * ((phases * cond_prob_qpsk(params)[0]) @ phases.conj().T)
+    return CQEnsemble(params=params, rho0=_freeze(rho0), avg_diag=_freeze(norms / 4.0))
 
 
 def build_ensemble(params: ProtocolParams) -> CQEnsemble:

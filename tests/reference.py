@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 Nothing here runs in the command line or the library: random density
-matrices, the brute-force entropies on the explicitly assembled
-block-diagonal classical-quantum state, an axis-aligned starting simplex,
-and the full phase-rotation symmetry group of an ensemble. The tests check
-the reduced formulas and the ensembles against them.
+matrices, Eve's N conditional states each built from its own formula, the
+brute-force entropies on the explicitly assembled block-diagonal
+classical-quantum state, an axis-aligned starting simplex, and the full
+phase-rotation symmetry group of an ensemble. The tests check the reduced
+formulas and the stored ensembles, which keep only rho_{E|0} and the
+diagonal of rho_E, against them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from pskrates.linalg import SUPPORT_CUTOFF, matrix_log2, matrix_power, partial_trace
 from pskrates.rng import normals, philox
-from pskrates.states import CQEnsemble
+from pskrates.states import DEGENERACY_CUTOFF, CQEnsemble, ProtocolParams, cond_prob_table
 
 
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
@@ -29,13 +31,46 @@ def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def conditional_states(params: ProtocolParams) -> list[np.ndarray]:
+    """Eve's state rho_{E|y} for each of Bob's symbols y, in the stored basis.
+
+    Each state comes from its own formula, not from rotating state 0:
+    (1/2)[[c_+, +-r sqrt(c_+ c_-)], [+-r sqrt(c_+ c_-), c_-]] for N=2, the +
+    sign for y = 0, and w_s w_s' sum_k p(y|k) exp(-i pi (s - s') k / 2) with
+    row y of the table for N=4 (see ``pskrates.states``).
+    """
+    gamma = params.gamma
+    if params.n_states == 2:
+        c_plus = 1.0 + math.exp(-2.0 * gamma * gamma)
+        c_minus = -math.expm1(-2.0 * gamma * gamma)
+        if c_minus < DEGENERACY_CUTOFF:
+            c_minus = 0.0
+        r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
+        off = r * math.sqrt(c_plus * c_minus) / 2.0
+        return [np.array([[c_plus / 2.0, sign * off], [sign * off, c_minus / 2.0]], dtype=complex)
+                for sign in (1.0, -1.0)]
+    g2 = gamma * gamma
+    s = np.arange(4)
+    norms = 1.0 + np.exp(-2.0 * g2) * np.cos(np.pi * s) + 2.0 * np.exp(-g2) * np.cos(g2 + np.pi * s / 2.0)
+    weights = np.sqrt(np.where(norms < DEGENERACY_CUTOFF, 0.0, norms)) / 2.0
+    phases = np.exp(-1j * np.pi * np.outer(s, np.arange(4)) / 2.0)
+    table = cond_prob_table(params)
+    return [np.outer(weights, weights) * ((phases * table[y]) @ phases.conj().T)
+            for y in range(4)]
+
+
 def assemble_cq_state(ensemble: CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit block-diagonal rho_YE and I_Y x rho_E on the N*dim space."""
-    n, d = ensemble.n_states, ensemble.dim
-    rho = np.zeros((n * d, n * d), dtype=complex)
-    for y, (p, state) in enumerate(zip(ensemble.probs, ensemble.cond_states)):
-        rho[y * d : (y + 1) * d, y * d : (y + 1) * d] = p * state
-    return rho, np.kron(np.eye(n), ensemble.avg_state)
+    """Explicit block-diagonal rho_YE and I_Y x rho_E on the N*N space.
+
+    The blocks are the ``conditional_states`` of the ensemble's parameters,
+    and rho_E is their mixture.
+    """
+    n = ensemble.n_states
+    states = conditional_states(ensemble.params)
+    rho = np.zeros((n * n, n * n), dtype=complex)
+    for y, state in enumerate(states):
+        rho[y * n : (y + 1) * n, y * n : (y + 1) * n] = state / n
+    return rho, np.kron(np.eye(n), sum(states) / n)
 
 
 def brute_entropy_cq(ensemble: CQEnsemble, a: float | None, kind: str) -> float:
@@ -47,7 +82,7 @@ def brute_entropy_cq(ensemble: CQEnsemble, a: float | None, kind: str) -> float:
     require ``a``.
     """
     rho, conditioner = assemble_cq_state(ensemble)
-    dims = (ensemble.n_states, ensemble.dim)
+    dims = (ensemble.n_states, ensemble.n_states)
     if kind == "petz_down":
         t = np.trace(matrix_power(rho, a) @ matrix_power(conditioner, 1.0 - a)).real
         return math.log2(t) / (1.0 - a)
@@ -89,27 +124,38 @@ class SymmetryGroup:
     unitaries: tuple
 
 
-def symmetry_group(ensemble: CQEnsemble) -> SymmetryGroup:
+def symmetry_group(ensemble: CQEnsemble, states: Sequence[np.ndarray] | None = None
+                   ) -> SymmetryGroup:
     """Phase-rotation group of the ensemble in its stored basis.
 
-    U_t = diag(1, (-1)^t) for N=2 and diag_s(exp(-2 pi i s t / N)) for N=4.
-    Raises if any group invariant is violated beyond 1e-9, which signals a
+    U_t = diag_s(exp(-2 pi i s t / N)), which is diag(1, (-1)^t) for N=2.
+    ``states`` defaults to the ``conditional_states`` of the ensemble's
+    parameters. Raises if a group invariant of the states or of their
+    mixture is violated beyond 1e-9, if state 0 differs from
+    ``ensemble.rho0`` by more than 1e-15, or if the mixture's diagonal
+    differs from ``ensemble.avg_diag`` by more than 1e-12: each signals a
     construction bug in the ensemble.
     """
     n = ensemble.n_states
+    states = conditional_states(ensemble.params) if states is None else states
+    mix = sum(states) / n
     s = np.arange(n)
     unitaries = tuple(np.diag(np.exp(-2j * np.pi * s * t / n)) for t in range(n))
     for t, u in enumerate(unitaries):
         if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-12:
             raise ValueError("symmetry unitary is not unitary")
-        if np.abs(u @ ensemble.avg_state @ u.conj().T - ensemble.avg_state).max() > 1e-9:
+        if np.abs(u @ mix @ u.conj().T - mix).max() > 1e-9:
             raise ValueError("average state is not invariant under the symmetry group")
         for y in range(n):
-            mapped = u @ ensemble.cond_states[y] @ u.conj().T
-            if np.abs(mapped - ensemble.cond_states[(y + t) % n]).max() > 1e-9:
+            mapped = u @ states[y] @ u.conj().T
+            if np.abs(mapped - states[(y + t) % n]).max() > 1e-9:
                 raise ValueError(
                     f"symmetry violated: U_{t} does not map state {y} to state {(y + t) % n}"
                 )
+    if np.abs(states[0] - ensemble.rho0).max() > 1e-15:
+        raise ValueError("state 0 differs from the stored rho0")
+    if np.abs(np.diag(mix).real - ensemble.avg_diag).max() > 1e-12:
+        raise ValueError("mixture diagonal differs from the stored avg_diag")
     for u in unitaries:
         u.setflags(write=False)
     return SymmetryGroup(n_states=n, unitaries=unitaries)

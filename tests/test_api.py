@@ -1,5 +1,6 @@
-"""The documented library API and the names the benchmark's tracer looks up."""
+"""The documented library API, the names the benchmark's tracer looks up and the dependencies."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -30,3 +31,21 @@ def test_traced_names_exist():
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert wanted
     assert missing == []
+
+
+def test_numpy_is_the_only_numeric_dependency():
+    # scipy and mpmath may be installed, but neither the package nor its
+    # tests may rely on them
+    banned = {"scipy", "mpmath"}
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}" for name in names
+                      if name.split(".")[0] in banned]
+    assert found == []

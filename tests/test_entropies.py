@@ -34,15 +34,21 @@ from pskrates.optimize import nelder_mead
 from pskrates.states import ProtocolParams, build_ensemble
 
 from conftest import philox_rng, random_protocol
-from reference import assemble_cq_state, brute_entropy_cq, initial_simplex, random_density
+from reference import (
+    assemble_cq_state,
+    brute_entropy_cq,
+    conditional_states,
+    initial_simplex,
+    random_density,
+)
 
 
 def petz_down_unreduced(ensemble, a):
     """Full y-summed Petz form, no symmetry reduction."""
     n = ensemble.n_states
-    avg_pow = matrix_power(ensemble.avg_state, 1.0 - a)
+    avg_pow = matrix_power(np.diag(ensemble.avg_diag), 1.0 - a)
     total = sum(np.trace(matrix_power(rho, a) @ avg_pow).real
-                for rho in ensemble.cond_states)
+                for rho in conditional_states(ensemble.params))
     return math.log2(total / n**a) / (1.0 - a)
 
 
@@ -78,6 +84,19 @@ class TestCqEntropies:
             assert abs(closed.petz_down - petz_down_cq(ensemble, a)) <= 1e-10
             assert abs(closed.petz_up - petz_up_cq(ensemble, a)) <= 1e-10
             assert abs(closed.sand_down - sandwiched_down_cq(ensemble, a)) <= 1e-10
+
+    def test_petz_up_takes_one_eigensolve(self, qpsk_ref, monkeypatch):
+        # the pinching identity replaces the N + 1 eigendecompositions of
+        # the symbol sum; its value is pinned by the brute-force and
+        # closed-form tests
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        petz_up_cq(qpsk_ref, 1.5)
+        assert len(calls) == 1
 
     def test_petz_up_dominates_petz_down(self, bpsk_ref, qpsk_ref):
         for ensemble in (bpsk_ref, qpsk_ref):
@@ -297,7 +316,7 @@ class TestSandwichedUpInvariant:
             alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
             a = 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(63.0))
             ensemble = build_ensemble(ProtocolParams(2, alpha, eta))
-            objective = _invariant_objective(ensemble.cond_states[0], a)
+            objective = _invariant_objective(ensemble.rho0, a)
 
             def scaled(x):
                 z = min(max(float(x[0]), -60.0), 60.0)
@@ -321,7 +340,7 @@ class TestSandwichedUpInvariant:
         order_sets = (grid(4.0), np.linspace(0.5, 0.999, 25), grid(64.0))
         # N=2: numpy's exp and log may differ from math's in the last ulp;
         # log T grows like a, and so does its rounding at cap 64
-        rho0s = np.array([build_ensemble(ProtocolParams(2, float(alpha), eta)).cond_states[0]
+        rho0s = np.array([build_ensemble(ProtocolParams(2, float(alpha), eta)).rho0
                           for alpha in alphas])
         for orders, scaled in zip(order_sets, (False, False, True)):
             got = entropies._two_state_log_traces(np.repeat(rho0s, 25, axis=0), np.tile(orders, 25))
@@ -333,7 +352,7 @@ class TestSandwichedUpInvariant:
         # N=4: a point certifies in the array solve exactly when it certifies
         # alone, and then each value lies within 1e-12 bits of the optimum
         ensembles = [build_ensemble(ProtocolParams(4, float(alpha), eta)) for alpha in alphas]
-        rho0s = np.array([ensemble.cond_states[0] for ensemble in ensembles])
+        rho0s = np.array([ensemble.rho0 for ensemble in ensembles])
         for orders in order_sets:
             got = entropies.sandwiched_up_invariant_grid(np.repeat(rho0s, 25, axis=0),
                                                          np.tile(orders, 25))
@@ -359,7 +378,7 @@ class TestSandwichedUpInvariant:
             alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
             a = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(63.0))
             ensemble = build_ensemble(ProtocolParams(4, alpha, eta))
-            rho0 = ensemble.cond_states[0]
+            rho0 = ensemble.rho0
             objective = _invariant_objective(rho0, a)
 
             def scaled(x):
@@ -392,14 +411,14 @@ class TestSandwichedUpInvariant:
             alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
             a = rng.uniform(0.5, 1.0 - 1e-5)
             ensemble = build_ensemble(ProtocolParams(n_states, alpha, eta))
-            objective = _invariant_objective(ensemble.cond_states[0], a)
+            objective = _invariant_objective(ensemble.rho0, a)
 
             def scaled(x):
                 z = np.concatenate(([0.0], np.clip(x, -60.0, 60.0)))
                 q = np.exp(z - z.max())
                 return -math.log2(objective(q / q.sum())) / (1.0 - a)
 
-            p = np.clip(np.diag(ensemble.avg_state).real, 1e-30, None)
+            p = np.clip(ensemble.avg_diag, 1e-30, None)
             dim = n_states - 1
             runs = [nelder_mead(scaled, initial_simplex(z0, 0.5), f_tol=1e-14, max_iter=2000)
                     for z0 in (np.log(p[1:] / p[0]), np.zeros(dim))]
@@ -461,7 +480,7 @@ class TestSandwichedUpInvariant:
                                     [r[0] + 1j * r[1], 1.0 - r[2]]])
             x_mat = matrix_power(sigma, c)
             total = 0.0
-            for rho in ensemble.cond_states:
+            for rho in conditional_states(ensemble.params):
                 lam = np.clip(np.linalg.eigvalsh(x_mat @ rho @ x_mat), 0.0, None)
                 total += float((lam**a).sum())
             return total / 2.0**a
@@ -513,11 +532,11 @@ class TestSandwichedUpInvariant:
     def test_min_entropy_limit_matches_guessing_probability(self):
         # as the order grows the value approaches -log2 of Eve's optimal
         # guessing probability, 1/2 + |rho0 - rho1|_1 / 4 for binary symbols
-        ensemble = build_ensemble(ProtocolParams(2, 1.0, 0.9))
-        diff = ensemble.cond_states[0] - ensemble.cond_states[1]
-        trace_norm = np.abs(np.linalg.eigvalsh(diff)).sum()
+        params = ProtocolParams(2, 1.0, 0.9)
+        rho0, rho1 = conditional_states(params)
+        trace_norm = np.abs(np.linalg.eigvalsh(rho0 - rho1)).sum()
         h_min = -math.log2(0.5 + trace_norm / 4.0)
-        value = sandwiched_up_invariant(ensemble, 48.0)
+        value = sandwiched_up_invariant(build_ensemble(params), 48.0)
         assert value >= h_min - 1e-9
         assert abs(value - h_min) <= 0.05
 

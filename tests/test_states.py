@@ -16,7 +16,7 @@ from pskrates.states import (
 )
 
 from conftest import philox_rng, random_protocol
-from reference import symmetry_group
+from reference import conditional_states, symmetry_group
 
 
 def coherent_overlap(beta1: complex, beta2: complex) -> complex:
@@ -88,36 +88,37 @@ class TestEnsembles:
         rng = philox_rng(202)
         for _ in range(1000):
             for n_states in (2, 4):
-                ensemble = build_ensemble(random_protocol(rng, n_states))
-                mix = sum(p * rho for p, rho in
-                          zip(ensemble.probs, ensemble.cond_states))
-                assert np.abs(mix - ensemble.avg_state).max() <= 1e-12
-                off = ensemble.avg_state - np.diag(np.diag(ensemble.avg_state))
-                assert np.abs(off).max() <= 1e-12
-                for rho in ensemble.cond_states:
+                params = random_protocol(rng, n_states)
+                ensemble = build_ensemble(params)
+                states = conditional_states(params)
+                assert np.abs(sum(states) / n_states - np.diag(ensemble.avg_diag)).max() <= 1e-12
+                assert np.abs(states[0] - ensemble.rho0).max() <= 1e-15
+                for rho in states:
                     assert abs(np.trace(rho).real - 1.0) <= 1e-10
                     assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
     def test_bpsk_offdiagonal_by_direct_substitution(self):
-        ensemble = build_bpsk_ensemble(ProtocolParams(2, 1.0, 0.9))
+        params = ProtocolParams(2, 1.0, 0.9)
+        ensemble = build_bpsk_ensemble(params)
         c_plus = 1.0 + math.exp(-0.2)
         c_minus = 1.0 - math.exp(-0.2)
         expected = erf_oracle(math.sqrt(1.8)) * math.sqrt(c_plus * c_minus) / 2.0
-        assert abs(ensemble.cond_states[0][0, 1] - expected) <= 1e-12
-        assert abs(ensemble.cond_states[1][0, 1] + expected) <= 1e-12
-        assert abs(ensemble.avg_state[0, 0] - c_plus / 2.0) <= 1e-14
-        assert abs(ensemble.avg_state[1, 1] - c_minus / 2.0) <= 1e-14
+        assert abs(ensemble.rho0[0, 1] - expected) <= 1e-12
+        assert abs(conditional_states(params)[1][0, 1] + expected) <= 1e-12
+        assert abs(ensemble.avg_diag[0] - c_plus / 2.0) <= 1e-14
+        assert abs(ensemble.avg_diag[1] - c_minus / 2.0) <= 1e-14
 
     def test_bpsk_lossless_channel_leaves_vacuum(self):
-        ensemble = build_bpsk_ensemble(ProtocolParams(2, 1.0, 1.0))
+        params = ProtocolParams(2, 1.0, 1.0)
         vacuum = np.diag([1.0, 0.0])
-        for rho in ensemble.cond_states:
+        for rho in (build_bpsk_ensemble(params).rho0, *conditional_states(params)):
             assert np.abs(rho - vacuum).max() <= 1e-14
 
     def test_bpsk_unmodulated_states_coincide(self):
-        ensemble = build_bpsk_ensemble(ProtocolParams(2, 0.0, 0.3))
-        assert np.abs(ensemble.cond_states[0] - ensemble.avg_state).max() <= 1e-14
-        assert np.abs(ensemble.cond_states[1] - ensemble.avg_state).max() <= 1e-14
+        params = ProtocolParams(2, 0.0, 0.3)
+        avg = np.diag(build_bpsk_ensemble(params).avg_diag)
+        for rho in conditional_states(params):
+            assert np.abs(rho - avg).max() <= 1e-14
 
     def test_bpsk_reconstructed_coherent_gram_matrix(self):
         # rebuild |+-gamma> from the stored basis and compare Gram matrices
@@ -149,24 +150,30 @@ class TestEnsembles:
         for s in range(4):
             weighted = sum(np.exp(-1j * np.pi * s * (j - k) / 2.0) * gram[j, k]
                            for j in range(4) for k in range(4)) / 4.0
-            assert abs(ensemble.avg_state[s, s].real - weighted.real / 4.0) <= 1e-12
-        assert abs(np.trace(ensemble.avg_state).real - 1.0) <= 1e-14
+            assert abs(ensemble.avg_diag[s] - weighted.real / 4.0) <= 1e-12
+        assert abs(ensemble.avg_diag.sum() - 1.0) <= 1e-14
 
     def test_qpsk_lossless_channel_single_projector(self):
-        ensemble = build_qpsk_ensemble(ProtocolParams(4, 1.0, 1.0))
-        first = ensemble.cond_states[0]
+        params = ProtocolParams(4, 1.0, 1.0)
+        first = build_qpsk_ensemble(params).rho0
         lam = np.linalg.eigvalsh(first)
         assert abs(lam[-1] - 1.0) <= 1e-12 and np.abs(lam[:-1]).max() <= 1e-12
-        for rho in ensemble.cond_states[1:]:
+        for rho in conditional_states(params):
             assert np.abs(rho - first).max() <= 1e-12
 
-    def test_rejects_inconsistent_direct_construction(self):
-        params = ProtocolParams(2, 1.0, 0.5)
-        good = build_bpsk_ensemble(params)
-        with pytest.raises(ValueError, match="mixture"):
-            CQEnsemble(params=params, probs=good.probs,
-                       cond_states=(good.cond_states[0], good.cond_states[0]),
-                       avg_state=good.avg_state)
+    # The stored pair is all a CQEnsemble holds; conditional states with
+    # unequal spectra cannot be represented at all.
+    @pytest.mark.parametrize("rho0, avg_diag, match", [
+        (np.eye(4) / 4.0, np.full(2, 0.5), "modulation size"),
+        (np.eye(2) / 2.0, np.eye(2) / 2.0, "modulation size"),
+        (np.array([[0.6, 0.2], [0.2, 0.4]]), np.full(2, 0.5), "mixture"),
+        (np.eye(2) * 0.6, np.full(2, 0.6), "trace"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), np.full(2, 0.5), "positive semidefinite"),
+    ], ids=["rho0-shape", "avg_diag-shape", "mixture", "trace", "negative-eigenvalue"])
+    def test_rejects_inconsistent_stored_data(self, rho0, avg_diag, match):
+        with pytest.raises(ValueError, match=match):
+            CQEnsemble(params=ProtocolParams(2, 1.0, 0.5), rho0=rho0.astype(complex),
+                       avg_diag=avg_diag)
 
 
 class TestSymmetryGroup:
@@ -175,49 +182,40 @@ class TestSymmetryGroup:
         assert np.abs(group.unitaries[0] - np.eye(2)).max() == 0.0
 
     def test_bpsk_parity_maps_states(self):
-        ensemble = build_ensemble(ProtocolParams(2, 1.1, 0.7))
+        params = ProtocolParams(2, 1.1, 0.7)
+        ensemble = build_ensemble(params)
         u1 = symmetry_group(ensemble).unitaries[1]
-        mapped = u1 @ ensemble.cond_states[0] @ u1.conj().T
-        assert np.abs(mapped - ensemble.cond_states[1]).max() <= 1e-12
+        mapped = u1 @ ensemble.rho0 @ u1.conj().T
+        assert np.abs(mapped - conditional_states(params)[1]).max() <= 1e-12
 
     def test_qpsk_rotation_by_matrix_multiplication(self):
-        ensemble = build_ensemble(ProtocolParams(4, 1.0, 0.9))
-        u1 = symmetry_group(ensemble).unitaries[1]
-        mapped = u1 @ ensemble.cond_states[2] @ u1.conj().T
-        assert np.abs(mapped - ensemble.cond_states[3]).max() <= 1e-10
+        params = ProtocolParams(4, 1.0, 0.9)
+        states = conditional_states(params)
+        u1 = symmetry_group(build_ensemble(params)).unitaries[1]
+        mapped = u1 @ states[2] @ u1.conj().T
+        assert np.abs(mapped - states[3]).max() <= 1e-10
 
     def test_group_invariants_on_random_grid(self):
         rng = philox_rng(203)
         for _ in range(100):
             for n_states in (2, 4):
-                ensemble = build_ensemble(random_protocol(rng, n_states))
+                params = random_protocol(rng, n_states)
+                ensemble = build_ensemble(params)
+                states = conditional_states(params)
                 group = symmetry_group(ensemble)
+                avg = np.diag(ensemble.avg_diag)
                 for t, u in enumerate(group.unitaries):
                     assert np.abs(u @ u.conj().T - np.eye(n_states)).max() <= 1e-12
-                    avg = u @ ensemble.avg_state @ u.conj().T
-                    assert np.abs(avg - ensemble.avg_state).max() <= 1e-10
+                    assert np.abs(u @ avg @ u.conj().T - avg).max() <= 1e-10
                     for y in range(n_states):
-                        mapped = u @ ensemble.cond_states[y] @ u.conj().T
-                        target = ensemble.cond_states[(y + t) % n_states]
+                        mapped = u @ states[y] @ u.conj().T
+                        target = states[(y + t) % n_states]
                         assert np.abs(mapped - target).max() <= 1e-10
-
-    def test_unequal_spectra_are_rejected(self):
-        # averages correctly, but the states are not unitarily equivalent
-        params = ProtocolParams(2, 1.0, 0.5)
-        states = (np.diag([0.9, 0.1]).astype(complex), np.diag([0.5, 0.5]).astype(complex))
-        with pytest.raises(ValueError, match="unitarily equivalent"):
-            CQEnsemble(params=params, probs=np.full(2, 0.5), cond_states=states,
-                       avg_state=np.diag([0.7, 0.3]).astype(complex))
 
     def test_symmetry_violation_is_signaled(self):
         # diagonal states that average correctly but are not phase-related
-        params = ProtocolParams(4, 1.0, 0.5)
-        states = (np.diag([0.4, 0.6, 0.0, 0.0]).astype(complex),
-                  np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex),
-                  np.diag([0.4, 0.6, 0.0, 0.0]).astype(complex),
-                  np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex))
-        broken = CQEnsemble(params=params, probs=np.full(4, 0.25),
-                            cond_states=states,
-                            avg_state=np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        ensemble = build_ensemble(ProtocolParams(4, 1.0, 0.5))
+        states = [np.diag(d).astype(complex) for d in
+                  ([0.4, 0.6, 0.0, 0.0], [0.6, 0.4, 0.0, 0.0]) * 2]
         with pytest.raises(ValueError, match="symmetry violated"):
-            symmetry_group(broken)
+            symmetry_group(ensemble, states)
