@@ -5,9 +5,10 @@ Output is CSV on stdout (or a file for sweeps) with a single ``#`` comment
 line recording the invocation, 12 significant digits, no locale formatting.
 Exit status: 0 success, 1 parameter error, 2 verification failure,
 3 optimizer non-convergence. Entropies and rates are in bits per channel
-use. A ``sweep --variable n --quantity rate`` makes one ``optimize_rate``
-call per estimator over the whole grid, so each estimator's entropy grid is
-computed once; rows come by n, then by estimator as listed.
+use. An optimized ``rate`` or ``sweep --variable n --quantity rate`` makes
+one ``optimize_rate`` call for all its estimators and block sizes, so each
+grid amplitude is built once and each estimator's entropy grid is computed
+once; rows come by n, then by estimator as listed.
 """
 
 from __future__ import annotations
@@ -126,34 +127,33 @@ _RATE_HEADER = ["estimator", "n", "eta", "rate", "alpha_opt", "a_opt", "leak",
                 "key_possible"]
 
 
-def _single_rates(args, specs: list[rates.Estimator], ns: list[float]) -> list[list]:
-    """Results per estimator at the fixed (alpha, order); only key_rate runs per n."""
+def _single_rates(args, specs: list[rates.Estimator], ns: list[float]) -> list:
+    """Results by n, then by estimator, at the fixed (alpha, order); only key_rate runs per n."""
     if args.alpha is None:
         raise _ParameterError("--alpha is required without --optimize")
     params = _protocol_params(args)
-    sps = [rates.SecurityParams(n=n, eps=args.eps, eps_prime=args.eps_prime, a=args.order)
-           for n in ns]
     ensemble, leak = build_ensemble(params), rates.leak(params)
-    columns = []
-    for spec in specs:
-        h = spec.entropy(ensemble, args.order)
-        values = [spec.key_rate(h, sp, params.n_states, leak) for sp in sps]
-        a_opt = args.order if spec.takes_order else None
-        columns.append([rates.RateResult(spec.name, value, args.alpha, a_opt, leak, value > 0.0)
-                        for value in values])
-    return columns
+    hs = [spec.entropy(ensemble, args.order) for spec in specs]
+    results = []
+    for n in ns:
+        sp = rates.SecurityParams(n=n, eps=args.eps, eps_prime=args.eps_prime, a=args.order)
+        for spec, h in zip(specs, hs):
+            value = spec.key_rate(h, sp, params.n_states, leak)
+            a_opt = args.order if spec.takes_order else None
+            results.append(rates.RateResult(spec.name, value, args.alpha, a_opt, leak, value > 0.0))
+    return results
 
 
 def _rate_rows(args, ns: list[float]) -> list:
     """One row per block size and listed estimator, in that order."""
     specs = [rates.estimator_spec(name) for name in args.estimator.split(",")]
     if args.optimize:
-        columns = [rates.optimize_rate(spec.name, PROTOCOL_SIZES[args.protocol], args.eta, ns,
-                                       args.eps, args.eps_prime, args.a_max) for spec in specs]
+        results = rates.optimize_rate(args.estimator, PROTOCOL_SIZES[args.protocol], args.eta,
+                                      ns, args.eps, args.eps_prime, args.a_max)
     else:
-        columns = _single_rates(args, specs, ns)
+        results = _single_rates(args, specs, ns)
     return [[r.estimator, n, args.eta, r.rate, r.alpha_opt, r.a_opt, r.leak, r.key_possible]
-            for n, results in zip(ns, zip(*columns)) for r in results]
+            for n, r in zip([n for n in ns for _ in specs], results)]
 
 
 def _cmd_rate(args) -> int:
@@ -200,7 +200,7 @@ def _cmd_sweep(args) -> int:
         if not args.optimize and args.alpha is None and args.variable != "alpha":
             raise _ParameterError("rate sweeps need --alpha or --optimize")
 
-    rows = (_rate_rows(args, grid) if args.variable == "n"  # one call per estimator
+    rows = (_rate_rows(args, grid) if args.variable == "n"  # one call for all n
             else [row for value in grid for row in _sweep_point(args, value)])
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:

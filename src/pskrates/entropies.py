@@ -19,7 +19,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +75,9 @@ def petz_down_cq(ensemble: CQEnsemble, a: float) -> float:
     """
     a = _check_order(a)
     rho0 = linalg.support_spectrum(ensemble.rho0)
-    avg = linalg.support_spectrum(np.diag(ensemble.avg_diag))
-    t = np.trace(linalg.apply_on_support(rho0, lambda lam: lam**a)
-                 @ linalg.apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
+    m = ensemble.avg_diag  # rho_E is diagonal: its power is taken entry by entry
+    m_pow = np.power(m, 1.0 - a, out=np.zeros_like(m), where=m > linalg.SUPPORT_CUTOFF * m.max())
+    t = float((np.diag(linalg.apply_on_support(rho0, lambda lam: lam**a)) * m_pow).sum().real)
     return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
 
 
@@ -620,27 +620,28 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     return math.log2(n) + log_t / (LN2 * (1.0 - a))
 
 
-def sandwiched_up_invariant_grid(rho0s: np.ndarray, orders) -> np.ndarray:
-    """``sandwiched_up_invariant`` at each rho_{E|0} of a (G, N, N) stack, with (G,) orders.
+def sandwiched_up_invariant_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
+    """``sandwiched_up_invariant`` at every (ensemble, order) pair, shape (A, O).
 
-    All G solves run together on arrays: the golden searches for N=2, the
-    certified Newton solves for N=4. A value is NaN where the Newton solve
-    did not certify; the single-point solve then gives the value and the
-    warning. numpy's exp and log may
-    differ from math's in the last ulp, so a value can differ from the
-    single-point one by a few ulps of log T; ``optimize_rate`` uses these
-    values only to rank its grid.
+    All A x O solves run together on arrays: the golden searches for N=2,
+    the certified Newton solves for N=4. A value is NaN where the Newton
+    solve did not certify; the single-point solve then gives the value and
+    the warning. numpy's exp and log may differ from math's in the last
+    ulp, so a value can differ from the single-point one by a few ulps of
+    log T; ``optimize_rate`` uses these values only to rank its grid.
     """
     orders = np.asarray(orders, dtype=float)
     if not np.all(np.isfinite(orders) & (orders >= 0.5) & (orders != 1.0)):
         raise ValueError("optimized sandwiched entropy needs finite orders a >= 1/2, a != 1")
+    rho0s = np.repeat([e.rho0 for e in ensembles], orders.size, axis=0)
+    orders = np.tile(orders, len(ensembles))
     n = rho0s.shape[-1]
     if n == 2:
         log_t = _two_state_log_traces(rho0s, orders)
     else:
         log_t, certified = _newton_log_traces(rho0s, orders)
         log_t[~certified] = np.nan
-    return math.log2(n) + log_t / (LN2 * (1.0 - orders))
+    return (math.log2(n) + log_t / (LN2 * (1.0 - orders))).reshape(len(ensembles), -1)
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:
@@ -723,27 +724,34 @@ class ContinuityTerms:
         k = scale * math.log(2.0 ** (h - self.petz_2) + math.e**2) ** 3
         return k, h - (a - 1.0) * LN2 / 2.0 * self.variance - (a - 1.0) ** 2 * k
 
+    def continuity_grid(self, orders: np.ndarray) -> np.ndarray:
+        """B_a at an array of orders in (1, CONTINUITY_A_MAX]: ``continuity``'s array twin."""
+        a = np.asarray(orders, dtype=float)
+        if not np.all((1.0 < a) & (a <= CONTINUITY_A_MAX)):
+            raise ValueError(f"continuity coefficient needs orders in (1, {CONTINUITY_A_MAX}]")
+        t = ((self.l ** a[:, None]) @ self.w * self.m ** (1.0 - a[:, None])).sum(axis=1)
+        h = self.von_neumann
+        petz = math.log2(self.n_states) + np.log2(t) / (1.0 - a)
+        k = (2.0 ** ((a - 1.0) * (h - petz)) / (6.0 * (2.0 - a) ** 3 * LN2)
+             * math.log(2.0 ** (h - self.petz_2) + math.e**2) ** 3)
+        return h - (a - 1.0) * LN2 / 2.0 * self.variance - (a - 1.0) ** 2 * k
 
-#: The terms of the last ensemble asked for, keyed weakly by identity
+
+#: The terms of every live ensemble asked for, keyed weakly by identity
 #: (``CQEnsemble`` is frozen, compares by identity and holds read-only
-#: arrays). One slot suffices: ``optimize_rate`` scans its grid one
-#: amplitude at a time and nearly every Nelder-Mead step brings a new one,
-#: so a slot per live ensemble saves about 3% of the solves and holds
-#: under 1 kB per amplitude for the whole search.
+#: arrays), so each slot goes with its ensemble. ``optimize_rate`` holds
+#: the ensembles of its grid and its Nelder-Mead steps until it returns, so
+#: the grids of all its estimators and the scalar evaluations at the same
+#: amplitudes share one set of terms: under 1 kB per amplitude, about
+#: 0.1 MB for a one-n call and a few MB for a 25-point sweep.
 _TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def continuity_terms(ensemble: CQEnsemble) -> ContinuityTerms:
-    """The amplitude-only continuity terms, computed once per ensemble.
-
-    Repeated calls on one ensemble reuse them until another ensemble is
-    asked for or the ensemble is garbage collected.
-    """
+    """The amplitude-only continuity terms, computed once per live ensemble."""
     terms = _TERMS.get(ensemble)
     if terms is None:
-        terms = ContinuityTerms.from_ensemble(ensemble)
-        _TERMS.clear()
-        _TERMS[ensemble] = terms
+        terms = _TERMS[ensemble] = ContinuityTerms.from_ensemble(ensemble)
     return terms
 
 
@@ -753,6 +761,20 @@ def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
     H(Y|E) - (a-1) ln2/2 V(Y|E) - (a-1)^2 K(a), valid for a in (1, 2).
     """
     return continuity_terms(ensemble).continuity(a)[1]
+
+
+def continuity_bound_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
+    """``continuity_bound`` at every (ensemble, order) pair, shape (A, O).
+
+    numpy's powers and sums may round differently from the scalar path:
+    each value lies within 1e-14 of it relative to max(1, |B_a|).
+    """
+    return np.array([continuity_terms(e).continuity_grid(orders) for e in ensembles])
+
+
+def von_neumann_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
+    """``von_neumann_cq`` of each ensemble as an (A, 1) column; it takes no order."""
+    return np.array([[continuity_terms(e).von_neumann] for e in ensembles])
 
 
 @dataclass(frozen=True)

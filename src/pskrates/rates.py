@@ -144,18 +144,19 @@ class Estimator:
     """One row of the estimator table.
 
     ``entropy_fn`` names the ``entropies`` function of the n-independent
-    entropy term and ``grid_fn`` its form on a stack of rho_{E|0}, if any;
-    both are looked up at each call. An order cap above ``a_max_limit`` is
-    an error, or clamped to it when ``clamp_a_max`` is set (B's pole).
+    entropy term and ``grid_fn`` its array form on A ensembles and O orders,
+    of shape (A, O), or (A, 1) for an estimator without an order; both are
+    looked up at each call. An order cap above ``a_max_limit`` is an error,
+    or clamped to it when ``clamp_a_max`` is set (B's pole).
     """
 
     name: str
     entropy_fn: str
+    grid_fn: str
     takes_order: bool
     a_max_default: float | None = None
     a_max_limit: float | None = None
     clamp_a_max: bool = False
-    grid_fn: str | None = None
 
     def rate(self, ensemble: CQEnsemble, sp: SecurityParams) -> float:
         return self.key_rate(self.entropy(ensemble, sp.a), sp, ensemble.n_states,
@@ -169,13 +170,22 @@ class Estimator:
             raise ValueError(f"the {self.name} estimator needs a Renyi order a > 1, got {a}")
         return fn(ensemble, a)
 
-    def key_rate(self, h: float, sp: SecurityParams, n_states: int, leak_value: float) -> float:
-        """Entropy term + hash term - correction - leak, in that order."""
+    def rate_at(self, n: float, eps: float, eps_prime: float, n_states: int):
+        """The key rate at block size n as a function of (h, a, leak), elementwise on arrays.
+
+        Entropy term + hash term - correction - leak, in that order, so an
+        array of points gives each the bits of ``key_rate``.
+        """
+        hash_term = (1.0 + 2.0 * math.log2(eps_prime)) / n
         if self.takes_order:
-            correction = g_eps(sp.eps) / (sp.n * (sp.a - 1.0))
-        else:
-            correction = delta_eps(sp.eps, n_states) / math.sqrt(sp.n)
-        return float(h + (1.0 + 2.0 * math.log2(sp.eps_prime)) / sp.n - correction - leak_value)
+            g = g_eps(eps)
+            return lambda h, a, leak_value: h + hash_term - g / (n * (a - 1.0)) - leak_value
+        correction = delta_eps(eps, n_states) / math.sqrt(n)
+        return lambda h, a, leak_value: h + hash_term - correction - leak_value
+
+    def key_rate(self, h: float, sp: SecurityParams, n_states: int, leak_value: float) -> float:
+        """Entropy term + hash term - correction - leak (see ``rate_at``)."""
+        return float(self.rate_at(sp.n, sp.eps, sp.eps_prime, n_states)(h, sp.a, leak_value))
 
     def order_cap(self, a_max: float | None) -> float:
         """The validated upper end of the Rényi-order search."""
@@ -188,11 +198,11 @@ class Estimator:
 
 
 ESTIMATORS = {
-    "S": Estimator("S", "sandwiched_up_invariant", True, A_MAX_S_DEFAULT, A_MAX_S_LIMIT,
-                   grid_fn="sandwiched_up_invariant_grid"),
-    "AEP": Estimator("AEP", "von_neumann_cq", False),
-    "B": Estimator("B", "continuity_bound", True, entropies.CONTINUITY_A_MAX,
-                   entropies.CONTINUITY_A_MAX, clamp_a_max=True),
+    "S": Estimator("S", "sandwiched_up_invariant", "sandwiched_up_invariant_grid", True,
+                   A_MAX_S_DEFAULT, A_MAX_S_LIMIT),
+    "AEP": Estimator("AEP", "von_neumann_cq", "von_neumann_grid", False),
+    "B": Estimator("B", "continuity_bound", "continuity_bound_grid", True,
+                   entropies.CONTINUITY_A_MAX, entropies.CONTINUITY_A_MAX, clamp_a_max=True),
 }
 
 
@@ -217,86 +227,84 @@ def optimize_rate(
     eps_prime: float = 1e-8,
     a_max: float | None = None,
 ) -> list[RateResult]:
-    """Maximize an estimator over the amplitude and the Rényi order at each block size.
+    """Maximize estimators over the amplitude and the Rényi order at each block size.
 
-    Returns one result per entry of ``ns``, in order. A coarse grid scan over
-    alpha in ``ALPHA_BOUNDS`` (``GRID_POINTS`` per axis; the order axis is
-    gridded in log(a - 1)) locates the basin, then Nelder-Mead refines from
-    the best three grid points; ties in the scan break toward the smallest
-    (alpha, a). AEP has no order and is optimized over alpha alone. Negative
-    optima are returned as computed, flagged by ``key_possible``. Each
-    point's entropy term and leak are computed once per call, as they do not
-    depend on n; a result equals that of a one-element call bit for bit.
+    ``estimator`` is a name or a comma list such as "AEP,B"; the results
+    come by n, then by estimator as listed. A coarse grid scan over alpha in
+    ``ALPHA_BOUNDS`` (``GRID_POINTS`` per axis; the order axis is gridded in
+    log(a - 1)) locates the basin, then Nelder-Mead refines from the best
+    three grid points; ties in the scan break toward the smallest (alpha,
+    a). AEP has no order and is optimized over alpha alone. Negative optima
+    are returned as computed, flagged by ``key_possible``. Each amplitude's
+    ensemble, leak and continuity terms serve every estimator of the call,
+    and each point's entropy term is computed once per call, as it does not
+    depend on n; a result equals that of a one-n, one-estimator call bit
+    for bit.
 
-    S ranks its grid with one array solve shared by every block size. Its
-    values only rank: every value reported, the simplex vertices included,
-    comes from ``entropy_fn``, which also scores the points it left NaN.
+    Each estimator's ``grid_fn`` ranks its grid, and each block size scores
+    the grid in one array expression. Those values only rank: every value
+    reported, the simplex vertices included, comes from ``entropy_fn``,
+    which also scores the points the hook left NaN.
 
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
     names the estimator, n and the first (alpha, a) that warned. Nelder-Mead
     stopping at its iteration cap does the same with the (alpha, a) reached.
+    These are issued once the search is over, after the other warnings.
     """
-    spec = estimator_spec(estimator)
-    if spec.takes_order:
-        log_a_hi = math.log(spec.order_cap(a_max) - 1.0)
+    specs = [estimator_spec(name) for name in estimator.split(",")]
+    log_a_his = [math.log(spec.order_cap(a_max) - 1.0) if spec.takes_order else None
+                 for spec in specs]
     bases = [SecurityParams(n=n, eps=eps, eps_prime=eps_prime) for n in ns]  # all checked first
     lo, hi = ALPHA_BOUNDS
     log_a_lo = math.log(_A_GRID_OFFSET_MIN)
+    alphas = np.linspace(lo, hi, GRID_POINTS).tolist()
 
-    ensembles: dict[float, CQEnsemble] = {}
-    # (alpha, log_a) -> (a, entropy term, leak, ConvergenceWarning messages)
+    amplitudes: dict[float, tuple[CQEnsemble, float]] = {}  # alpha -> (ensemble, leak)
+    # (estimator, alpha, log_a) -> (a, entropy term, ConvergenceWarning messages)
     terms: dict[tuple, tuple] = {}
+    notes: list[str] = []  # the call's own ConvergenceWarnings, issued at the end
 
-    def ensemble(alpha: float) -> CQEnsemble:
-        if alpha not in ensembles:
-            ensembles[alpha] = build_ensemble(ProtocolParams(n_states, alpha, eta))
-        return ensembles[alpha]
+    def amplitude(alpha: float) -> tuple[CQEnsemble, float]:
+        if alpha not in amplitudes:
+            ensemble = build_ensemble(ProtocolParams(n_states, alpha, eta))
+            amplitudes[alpha] = (ensemble, leak(ensemble.params))
+        return amplitudes[alpha]
 
-    def term(alpha: float, log_a: float | None = None) -> tuple:
-        key = (alpha, log_a)
+    def term(spec: Estimator, alpha: float, log_a: float | None) -> tuple:
+        key = (spec.name, alpha, log_a)
         if key not in terms:
             a = None if log_a is None else 1.0 + math.exp(log_a)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", entropies.ConvergenceWarning)
-                h = spec.entropy(ensemble(alpha), a)
-            for w in caught:
-                if not issubclass(w.category, entropies.ConvergenceWarning):
-                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            terms[key] = (a, h, leak(ensemble(alpha).params), [
-                str(w.message) for w in caught
-                if issubclass(w.category, entropies.ConvergenceWarning)])
+            start = len(caught)  # the one catch of the call records every warning
+            h = spec.entropy(amplitude(alpha)[0], a)
+            terms[key] = (a, h, [str(w.message) for w in caught[start:]
+                                 if issubclass(w.category, entropies.ConvergenceWarning)])
         return terms[key]
 
-    alphas = np.linspace(lo, hi, GRID_POINTS).tolist()
-    if spec.takes_order:
-        log_as = np.linspace(log_a_lo, log_a_hi, GRID_POINTS).tolist()
-        grid = [(al, la) for al in alphas for la in log_as]
-    else:
-        grid = [(al,) for al in alphas]
-    ranks = [math.nan] * len(grid)
-    if spec.grid_fn:  # rank only; see the docstring
-        rho0s = np.array([ensemble(point[0]).rho0 for point in grid])
-        orders = [1.0 + math.exp(log_a) for _, log_a in grid]
-        ranks = getattr(entropies, spec.grid_fn)(rho0s, orders).tolist()
-    grid_terms = [term(*point) if math.isnan(h) else
-                  (1.0 + math.exp(point[1]), h, leak(ensemble(point[0]).params), ())
-                  for point, h in zip(grid, ranks)]
+    def rank(spec: Estimator, log_a_hi: float | None) -> tuple:
+        """The grid points and their entropy terms; NaNs of the hook come from ``term``."""
+        log_as = (np.linspace(log_a_lo, log_a_hi, GRID_POINTS).tolist() if spec.takes_order
+                  else [None])
+        orders = np.array([1.0 + math.exp(log_a) for log_a in log_as]) if spec.takes_order else None
+        ensembles = [amplitude(alpha)[0] for alpha in alphas]
+        h = np.array(getattr(entropies, spec.grid_fn)(ensembles, orders))  # a copy
+        warned = []  # (alpha, a, message) of the terms the hook left NaN, in grid order
+        for i, j in zip(*np.nonzero(np.isnan(h))):
+            a, h[i, j], messages = term(spec, alphas[i], log_as[j])
+            warned += [(alphas[i], a, message) for message in messages]
+        points = [(alpha, log_a) if spec.takes_order else (alpha,)
+                  for alpha in alphas for log_a in log_as]
+        return log_a_hi, points, orders, h, warned
 
-    def search(base: SecurityParams) -> RateResult:
-        warned: list = []  # (alpha, a, message) of every ConvergenceWarning
-
-        def score(alpha: float, a: float | None, h: float, leak_value: float, messages) -> float:
-            sp = SecurityParams(n=base.n, eps=eps, eps_prime=eps_prime, a=a)
-            warned.extend((alpha, a, message) for message in messages)
-            return spec.key_rate(h, sp, n_states, leak_value)
-
-        scored = [(score(point[0], *t), point) for point, t in zip(grid, grid_terms)]
-        # deterministic reduction: max by value, ties to smallest parameters
-        scored.sort(key=lambda item: (-item[0], item[1]))
-
+    def search(spec: Estimator, grid: tuple, n: float) -> RateResult:
+        log_a_hi, points, orders, h, warned = grid
+        warned = list(warned)  # plus the Nelder-Mead evaluations of this n
+        rate_at = spec.rate_at(n, eps, eps_prime, n_states)
+        scores = rate_at(h, orders, np.array([[amplitude(alpha)[1]] for alpha in alphas]))
         dim = 2 if spec.takes_order else 1
-        simplex = [np.array(scored[i][1]) for i in range(dim + 1)]
+        # deterministic reduction: max by value, ties to smallest parameters
+        best = np.lexsort([*np.array(points).T[::-1], -scores.ravel()])[:dim + 1]
+        simplex = [np.array(points[i]) for i in best]
         if dim == 2:
             span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
             if abs(np.linalg.det(span)) < 1e-12:  # collinear grid points stall NM
@@ -314,7 +322,9 @@ def optimize_rate(
 
         def negated(x: np.ndarray) -> float:
             alpha, log_a = clip(x)
-            return -score(alpha, *term(alpha, log_a))
+            a, h_point, messages = term(spec, alpha, log_a)
+            warned.extend((alpha, a, message) for message in messages)
+            return -float(rate_at(h_point, a, amplitude(alpha)[1]))
 
         # Nelder-Mead evaluates the grid winner first and never returns a
         # worse vertex, so its result is at least the winner's value
@@ -325,22 +335,31 @@ def optimize_rate(
         a_opt = 1.0 + math.exp(log_a_opt) if spec.takes_order else None
         if warned:
             alpha_w, a_w, message = warned[0]
-            warnings.warn(f"{spec.name} rate at n={base.n:g}: {len(warned)} entropy "
-                          f"evaluation(s) did not converge, first at {_at(alpha_w, a_w)} "
-                          f"({message})", entropies.ConvergenceWarning, stacklevel=3)
+            notes.append(f"{spec.name} rate at n={n:g}: {len(warned)} entropy "
+                         f"evaluation(s) did not converge, first at {_at(alpha_w, a_w)} "
+                         f"({message})")
         if not refined.converged:
-            warnings.warn(f"{spec.name} rate at n={base.n:g}: Nelder-Mead did not converge "
-                          f"in {refined.iterations} iterations, stopped at "
-                          f"{_at(alpha_opt, a_opt)}", entropies.ConvergenceWarning, stacklevel=3)
+            notes.append(f"{spec.name} rate at n={n:g}: Nelder-Mead did not converge "
+                         f"in {refined.iterations} iterations, stopped at "
+                         f"{_at(alpha_opt, a_opt)}")
         return RateResult(
             estimator=spec.name,
             rate=float(best_rate),
             alpha_opt=float(alpha_opt),
             a_opt=a_opt,
-            leak=leak(ProtocolParams(n_states=n_states, alpha=alpha_opt, eta=eta)),
+            leak=amplitude(alpha_opt)[1],
             key_possible=bool(best_rate > 0.0),
             converged=bool(refined.converged) and not warned,
         )
 
-    # map calls search from C, so stacklevel 3 above is the caller of optimize_rate
-    return list(map(search, bases))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", entropies.ConvergenceWarning)
+        grids = [rank(spec, log_a_hi) for spec, log_a_hi in zip(specs, log_a_his)]
+        results = [search(spec, grid, base.n) for base in bases
+                   for spec, grid in zip(specs, grids)]
+    for w in caught:
+        if not issubclass(w.category, entropies.ConvergenceWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    for note in notes:
+        warnings.warn(note, entropies.ConvergenceWarning, stacklevel=2)
+    return results

@@ -1,8 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
+import pskrates.entropies as entropies
 import pskrates.rates as rates
 from pskrates.states import ProtocolParams, build_ensemble
 
@@ -19,14 +18,15 @@ def random_protocol(rng, n_states, alpha_range=(0.0, 3.0), eta_range=(0.0, 1.0))
 
 
 def score_grid_point_by_point(monkeypatch):
-    """Make S score every grid point through ``sandwiched_up_invariant``, as AEP and B do.
+    """Make S score every grid point through ``sandwiched_up_invariant``.
 
-    A stub of ``sandwiched_up_invariant`` then also scores the grid, so its
-    warnings at grid points reach ``optimize_rate``; the array solve that
-    ranks the grid otherwise never warns.
+    S's grid hook then returns NaN everywhere, so a stub of
+    ``sandwiched_up_invariant`` also scores the grid and its warnings at
+    grid points reach ``optimize_rate``; the array solve that ranks the grid
+    otherwise never warns.
     """
-    spec = dataclasses.replace(rates.ESTIMATORS["S"], grid_fn=None)
-    monkeypatch.setitem(rates.ESTIMATORS, "S", spec)
+    monkeypatch.setattr(entropies, "sandwiched_up_invariant_grid",
+                        lambda ensembles, orders: np.full((len(ensembles), len(orders)), np.nan))
 
 
 def cap_nelder_mead(monkeypatch):

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from pskrates.linalg import SUPPORT_CUTOFF, matrix_log2, matrix_power, partial_trace
+from pskrates.linalg import (SUPPORT_CUTOFF, apply_on_support, matrix_log2, matrix_power,
+                             partial_trace, support_spectrum)
 from pskrates.rng import normals, philox
 from pskrates.states import DEGENERACY_CUTOFF, CQEnsemble, ProtocolParams, cond_prob_table
 
@@ -102,6 +103,15 @@ def brute_entropy_cq(ensemble: CQEnsemble, a: float | None, kind: str) -> float:
         first = np.trace(rho @ diff @ diff).real
         return float(first - np.trace(rho @ diff).real ** 2)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def petz_down_matrix_path(ensemble: CQEnsemble, a: float) -> float:
+    """``petz_down_cq`` with rho_E^(1-a) from an eigendecomposition of diag(rho_E)."""
+    rho0 = support_spectrum(ensemble.rho0)
+    avg = support_spectrum(np.diag(ensemble.avg_diag))
+    t = np.trace(apply_on_support(rho0, lambda lam: lam**a)
+                 @ apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
+    return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
 
 
 def initial_simplex(x0: Sequence[float], step) -> list[np.ndarray]:

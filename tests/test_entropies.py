@@ -39,6 +39,7 @@ from reference import (
     brute_entropy_cq,
     conditional_states,
     initial_simplex,
+    petz_down_matrix_path,
     random_density,
 )
 
@@ -97,6 +98,29 @@ class TestCqEntropies:
             monkeypatch.setattr(np.linalg, name, counted)
         petz_up_cq(qpsk_ref, 1.5)
         assert len(calls) == 1
+
+    def test_petz_down_takes_one_eigh(self, qpsk_ref, monkeypatch):
+        # rho_E is diagonal, so only rho_{E|0} is eigendecomposed; the
+        # matrix path also decomposed diag(rho_E)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        petz_down_cq(qpsk_ref, 1.5)
+        assert len(calls) == 1
+
+    def test_petz_down_matches_the_matrix_path_exactly(self):
+        # the entry-by-entry power of rho_E, with the same 1e-12 relative
+        # cut, changes no bit against the eigendecomposition of diag(rho_E)
+        rng = philox_rng(308)
+        corners = [ProtocolParams(n, alpha, eta) for n in (2, 4)
+                   for alpha, eta in ((0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (3.0, 0.99999))]
+        for params in corners + [random_protocol(rng, n) for _ in range(200) for n in (2, 4)]:
+            ensemble = build_ensemble(params)
+            for a in (rng.uniform(0.05, 0.999), rng.uniform(1.0 + 1e-9, 8.0)):
+                assert petz_down_cq(ensemble, a) == petz_down_matrix_path(ensemble, a)
 
     def test_petz_up_dominates_petz_down(self, bpsk_ref, qpsk_ref):
         for ensemble in (bpsk_ref, qpsk_ref):
@@ -221,6 +245,27 @@ class TestContinuityBound:
                                - petz_down_cq(ensemble, a))
             assert abs(gap) <= 4e-15
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_grid_hooks_match_the_scalar_path(self, n_states, eta):
+        # the optimizer's 25 x 25 B grid up to the pole cap, and one at cap
+        # 1.5. numpy's powers and sums may round differently, so B lies
+        # within 1e-14 of the scalar bound relative to max(1, |B_a|): worst
+        # seen 8.9e-16 on these grids and 2.2e-15 over 800 random points,
+        # while |B_a| reaches 1e19 next to the pole. AEP's is exact.
+        alphas = np.linspace(0.05, 3.0, 25)
+        ensembles = [build_ensemble(ProtocolParams(n_states, float(alpha), eta))
+                     for alpha in alphas]
+        for cap in (CONTINUITY_A_MAX, 1.5):
+            orders = 1.0 + np.exp(np.linspace(math.log(1e-5), math.log(cap - 1.0), 25))
+            got = entropies.continuity_bound_grid(ensembles, orders)
+            want = np.array([[continuity_bound(e, float(a)) for a in orders] for e in ensembles])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(entropies.von_neumann_grid(ensembles, None),
+                              [[von_neumann_cq(e)] for e in ensembles])
+        with pytest.raises(ValueError):
+            entropies.continuity_bound_grid(ensembles[:1], [2.0])
+
     def test_terms_take_one_eigh(self, monkeypatch):
         ensemble = build_ensemble(ProtocolParams(4, 1.1, 0.8))
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -250,14 +295,16 @@ class TestContinuityBound:
     def test_terms_are_held_once_and_released_with_the_ensemble(self):
         first = build_ensemble(ProtocolParams(2, 0.7, 0.5))
         ensemble = build_ensemble(ProtocolParams(4, 0.7, 0.5))
-        continuity_terms(first)
+        before = len(entropies._TERMS)
+        terms = continuity_terms(first)
         continuity_terms(ensemble)
-        assert len(entropies._TERMS) == 1
+        assert continuity_terms(first) is terms  # one slot per live ensemble
+        assert len(entropies._TERMS) == before + 2
         ref = weakref.ref(ensemble)
-        del ensemble
+        del ensemble, first
         gc.collect()
         assert ref() is None
-        assert len(entropies._TERMS) == 0
+        assert len(entropies._TERMS) == before
 
     def test_below_von_neumann_and_below_log_n_at_boundary(self):
         for n_states in (2, 4):
@@ -348,14 +395,13 @@ class TestSandwichedUpInvariant:
                              for rho0 in rho0s for a in orders])
             assert np.all(np.abs(got - want) <= 4e-15 * (np.tile(orders, 25) if scaled else 1.0))
         with pytest.raises(ValueError):
-            entropies.sandwiched_up_invariant_grid(rho0s[:1], [0.3])
+            entropies.sandwiched_up_invariant_grid(
+                [build_ensemble(ProtocolParams(2, 1.0, eta))], [0.3])
         # N=4: a point certifies in the array solve exactly when it certifies
         # alone, and then each value lies within 1e-12 bits of the optimum
         ensembles = [build_ensemble(ProtocolParams(4, float(alpha), eta)) for alpha in alphas]
-        rho0s = np.array([ensemble.rho0 for ensemble in ensembles])
         for orders in order_sets:
-            got = entropies.sandwiched_up_invariant_grid(np.repeat(rho0s, 25, axis=0),
-                                                         np.tile(orders, 25))
+            got = entropies.sandwiched_up_invariant_grid(ensembles, orders).ravel()
             want, certified = [], []
             for ensemble in ensembles:
                 for a in orders:
@@ -366,7 +412,7 @@ class TestSandwichedUpInvariant:
             assert np.array_equal(~np.isnan(got), certified)
             assert np.all(np.abs(got - want)[certified] <= 2e-12)
         with pytest.raises(ValueError):
-            entropies.sandwiched_up_invariant_grid(rho0s[:1], [0.3])
+            entropies.sandwiched_up_invariant_grid(ensembles[:1], [0.3])
 
     def test_four_state_newton_matches_reference(self):
         # oracle 3 for N=4: Nelder-Mead from the log-odds of diag(rho_{E|0})

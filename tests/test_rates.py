@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -342,3 +343,26 @@ class TestOptimizeRate:
         ns = [316.23, 1e4, 1e8]
         together = optimize_rate(estimator, n_states, 0.9, ns)
         assert together == [optimize_rate(estimator, n_states, 0.9, [n])[0] for n in ns]
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_several_estimators_in_one_call_match_single_calls(self, n_states):
+        # rows come by n, then by estimator as listed
+        ns = [316.23, 1e4, 1e8]
+        for names, a_max in (("AEP,B", None), ("S,AEP,B", None), ("B,S,AEP", 16.0)):
+            together = optimize_rate(names, n_states, 0.9, ns, a_max=a_max)
+            alone = [optimize_rate(name, n_states, 0.9, ns, a_max=a_max)
+                     for name in names.split(",")]
+            assert together == [column[i] for i in range(len(ns)) for column in alone]
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_estimators_of_one_call_share_each_amplitude(self, n_states, monkeypatch):
+        # AEP and B read one set of continuity terms per amplitude, on the
+        # grid and in every Nelder-Mead step
+        counts = collections.Counter()
+        build = entropies.ContinuityTerms.from_ensemble
+        monkeypatch.setattr(entropies.ContinuityTerms, "from_ensemble", classmethod(
+            lambda cls, ensemble: counts.update([ensemble.params.alpha]) or build(ensemble)))
+        optimize_rate("AEP,B", n_states, 0.9, [1e4, 1e6])
+        grid = np.linspace(*rates.ALPHA_BOUNDS, rates.GRID_POINTS).tolist()
+        assert set(grid) <= set(counts)
+        assert set(counts.values()) == {1}
