@@ -76,9 +76,17 @@ def petz_down_cq(ensemble: CQEnsemble, a: float) -> float:
     a = _check_order(a)
     rho0 = linalg.support_spectrum(ensemble.rho0)
     m = ensemble.avg_diag  # rho_E is diagonal: its power is taken entry by entry
-    m_pow = np.power(m, 1.0 - a, out=np.zeros_like(m), where=m > linalg.SUPPORT_CUTOFF * m.max())
-    t = float((np.diag(linalg.apply_on_support(rho0, lambda lam: lam**a)) * m_pow).sum().real)
-    return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
+    d = np.diag(linalg.apply_on_support(rho0, lambda lam: lam**a))
+    support = m > linalg.SUPPORT_CUTOFF * m.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = float((d * np.power(m, 1.0 - a, out=np.zeros_like(m), where=support)).sum().real)
+    if math.isfinite(t):
+        return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
+    # an m_j^(1-a) overflowed: sum the terms from their logs, shifted by the largest
+    keep = support & (d.real > 0.0)
+    logs = np.log(d.real[keep]) + (1.0 - a) * np.log(m[keep])
+    log_t = logs.max() + math.log(np.exp(logs - logs.max()).sum())
+    return math.log2(ensemble.n_states) + log_t / (LN2 * (1.0 - a))
 
 
 def petz_up_cq(ensemble: CQEnsemble, a: float) -> float:
@@ -141,14 +149,24 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   eigenvalue comes from the determinant, so it is accurate however small,
 #   and no weight is cut: a weight of rho_{E|0} far below the largest one
 #   counts at every q and every order. Convexity (concavity for a < 1)
-#   makes log T unimodal in z, and a golden-section search finds the
-#   optimum to |dz| <= 1e-11 without warnings. The merit is written once,
-#   for one point (math) and for a stack of points (numpy): the array solve
-#   runs every point's search together, each with its own bracket and
-#   stopping test. numpy's exp and log may differ from math's in the last
-#   ulp (up to 6.7e-16 in log T on the optimizer's grid), so the array
-#   solve only ranks the grid of ``rates.optimize_rate``; the single-point
-#   solve produces every reported value.
+#   makes log T unimodal in z = z_1, with slope (1-a)(w_1 - q_1) and
+#   w_i = (M^a)_ii / T as for N=4. The solve finds the root of
+#   phi = log(w_1 / w_0) - z, which has the sign of w_1 - q_1 and is nearly
+#   linear in z where a weight is small. At the index of the smaller
+#   diagonal entry of M, w_i = (x + (1-x) t^a) / (1 + t^a), with
+#   t = lam_- / lam_+ and x the weight there of lam_+'s eigenvector: a sum
+#   of positive terms. From the N=4 start, secant steps on phi (z + phi,
+#   the step q <- w, first and where the secant points back), each at most
+#   twice the last, run until phi changes sign; then Anderson-Bjorck regula
+#   falsi (BIT 13, 1973) narrows the bracket. The solve stops once the
+#   Frank-Wolfe gap max_i w_i / q_i - 1 certifies _CERTIFY_BITS as for N=4,
+#   the bracket is within 1e-11 or a step is pinned at the clip, and never
+#   warns. The evaluation is written once, for one point (math) and for a
+#   stack of points (numpy), whose solve runs every point's iteration
+#   together, each with its own bracket and stopping test. numpy's exp and
+#   log may differ from math's in the last ulp, so the array solve only
+#   ranks the grid of ``rates.optimize_rate``; the single-point solve
+#   produces every reported value.
 #
 # * N=4: a damped Newton method that minimizes s log T, s = sign(a - 1),
 #   and stops on a certificate. Each iterate costs one eigh of M, scaled by
@@ -198,10 +216,9 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   a point that does not certify there is solved again alone.
 # ---------------------------------------------------------------------------
 
-#: Log-odds search interval and tolerance of the two-state golden search.
+#: Log-odds clip of both invariant solves, and the bracket that ends the two-state solve.
 _LOGODDS_CLIP = 60.0
 _LOGODDS_TOL = 1e-11
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Entropy error (bits) both Newton solves certify, and their iteration cap.
 _CERTIFY_BITS = 1e-12
@@ -218,82 +235,100 @@ def _softplus(z, xp=math):
 
 
 def _two_state_merit(p0, p1, off, a, xp):
-    """The merit z -> s log tr[(D rho0 D)^a] of the two-state search, and s = sign(a - 1).
+    """z -> (s log tr[(D rho0 D)^a], phi, Frank-Wolfe gap), s = sign(a - 1) and the start z.
 
     q = (1, e^z) / (1 + e^z), p0 and p1 are the diagonal of rho0 and off is
     |rho0_01|^2. M = D rho0 D has m00 = q0^2c p0, m11 = q1^2c p1 and
     |m01|^2 = (q0 q1)^2c off. The smaller eigenvalue comes from the
     determinant, (q0 q1)^2c det(rho0) / lam_+, not from a difference.
     det(rho0) within the rounding of p0 p1 - off counts as zero, so a pure
-    rho0 stays pure. The same code serves one point (floats, xp = math) and
-    a stack of points (arrays, xp = numpy).
+    rho0 stays pure. phi and w are those of the comment above
+    ``_LOGODDS_CLIP``. The same code serves one point (floats, xp = math)
+    and a stack of points (arrays, xp = numpy).
     """
     c2 = (1.0 - a) / a
     det = p0 * p1 - off
     det = det * (det > 8.0 * _UNIT_ROUNDOFF * p0 * p1)
     sense = xp.copysign(1.0, a - 1.0)
 
-    def merit(z):
+    def evaluate(z):
         e0 = -c2 * _softplus(z, xp)  # log q0^2c
         e1 = -c2 * _softplus(-z, xp)  # log q1^2c
         m0, m1, cross = p0 * xp.exp(e0), p1 * xp.exp(e1), xp.exp(e0 + e1)
-        lam = 0.5 * (m0 + m1) + xp.sqrt(0.25 * (m0 - m1) ** 2 + off * cross)
-        ratio = cross * det / (lam * lam)
-        return sense * (a * xp.log(lam) + xp.log1p(ratio**a))
+        half, off_m = 0.5 * abs(m0 - m1), off * cross
+        root = xp.sqrt(half * half + off_m)
+        lam = 0.5 * (m0 + m1) + root
+        ta = (cross * det / (lam * lam)) ** a
+        # x <= 1/2; at M = m I (den = 0) it is 0/0, but t = 1 makes w = 1/2 for any x
+        den = (half + root) ** 2 + off_m
+        x = off_m / (den + (den == 0.0))
+        w_small = (x + (1.0 - x) * ta) / (1.0 + ta)
+        sign = 2 * (m1 <= m0) - 1  # 1 where index 1 holds the smaller of m00, m11
+        flip = xp.exp(sign * z)  # q_big / q_small
+        r_small, r_big = w_small * (1.0 + 1.0 / flip), (1.0 - w_small) * (1.0 + flip)
+        # the smallest double keeps the log of an underflowed weight finite
+        phi = sign * xp.log(w_small / (1.0 - w_small) + math.ulp(0.0)) - z
+        return (sense * (a * xp.log(lam) + xp.log1p(ta)), phi,
+                (r_small + r_big + abs(r_small - r_big)) / 2.0 - 1.0)
 
-    return merit, sense
+    # the start of the N=4 solve, a / max(a, 2a - 1) log(p1 / p0), before the clip
+    start = 2.0 * a / (3.0 * a - 1.0 + abs(a - 1.0)) * xp.log(p1 / p0 + math.ulp(0.0))
+    return evaluate, sense, start
 
 
 def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
     """opt_q log tr[(D rho0 D)^a] for N=2, a >= 1/2: the minimum for a > 1, the maximum below."""
-    merit, sense = _two_state_merit(float(rho0[0, 0].real), float(rho0[1, 1].real),
-                                    float(abs(rho0[0, 1])) ** 2, a, math)
-    return sense * _golden_min(merit, -_LOGODDS_CLIP, _LOGODDS_CLIP, _LOGODDS_TOL)
+    p0, p1 = float(rho0[0, 0].real), float(rho0[1, 1].real)
+    evaluate, sense, start = _two_state_merit(p0, p1, float(abs(rho0[0, 1])) ** 2, a, math)
+    zb = min(max(start, -_LOGODDS_CLIP), _LOGODDS_CLIP)
+    merit, fb, gap = evaluate(zb)
+    za = fa = math.nan  # the other end of the bracket: NaN until phi changes sign
+    zp, fp = zb + fb, 0.0  # the last point: the first secant step is z + phi
+    while gap > _CERTIFY_BITS * LN2 and not abs(za - zb) <= _LOGODDS_TOL:
+        zo, fo = (za, fa) if za == za else (zp, fp)  # the secant's other point
+        sec = fb * (zb - zo) / (fo - fb) if fo != fb else 0.0
+        step = min(abs(sec) if sec * fb > 0.0 else abs(fb), 2.0 * abs(zb - zo))
+        z = min(max(zb + math.copysign(step, fb), -_LOGODDS_CLIP), _LOGODDS_CLIP)
+        if z == zb:
+            break
+        merit, fc, gap = evaluate(z)
+        if fc * fb < 0.0:
+            za, fa = zb, fb
+        else:
+            m = 1.0 - fc / fb
+            fa *= m if m > 0.0 else 0.5
+        zp, fp, zb, fb = zb, fb, z, fc
+    return sense * merit
 
 
 def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """``_two_state_log_trace`` at each 2x2 of a (G, 2, 2) stack and order of a (G,) array."""
-    merit, sense = _two_state_merit(rho0s[:, 0, 0].real, rho0s[:, 1, 1].real,
-                                    np.abs(rho0s[:, 0, 1]) ** 2, orders, np)
-    clip = np.full(orders.shape, _LOGODDS_CLIP)
-    return sense * _golden_min_each(merit, -clip, clip, _LOGODDS_TOL)
+    """``_two_state_log_trace`` at each 2x2 of a (G, 2, 2) stack and order of a (G,) array.
 
-
-def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
-    """Smallest value of a unimodal ``fn`` on [lo, hi], bracketed to ``tol``."""
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-    return min(f1, f2)
-
-
-def _golden_min_each(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """``_golden_min`` on arrays: one bracket per point, each moved and stopped by its own test.
-
-    ``fn`` maps an array of points to an array of values. A point whose
-    bracket is closed keeps its bracket and values, so every point takes
-    exactly the steps it would take alone.
+    Each point has its own bracket, last point and stopping test, and one
+    that has stopped keeps its state, so each takes the steps it takes alone.
     """
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while (live := hi - lo > tol).any():
-        left, right = live & (f1 <= f2), live & ~(f1 <= f2)
-        lo, x1, f1, hi, x2, f2 = (
-            np.where(right, x1, lo), np.where(right, x2, x1), np.where(right, f2, f1),
-            np.where(left, x2, hi), np.where(left, x1, x2), np.where(left, f1, f2))
-        x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        fx = fn(x)
-        x1, f1 = np.where(left, x, x1), np.where(left, fx, f1)
-        x2, f2 = np.where(right, x, x2), np.where(right, fx, f2)
-    return np.minimum(f1, f2)
+    p0, p1 = rho0s[:, 0, 0].real, rho0s[:, 1, 1].real
+    evaluate, sense, start = _two_state_merit(p0, p1, np.abs(rho0s[:, 0, 1]) ** 2, orders, np)
+    zb = np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP)
+    merit, fb, gap = evaluate(zb)
+    za, fa, zp, fp = np.full(zb.shape, np.nan), np.full(zb.shape, np.nan), zb + fb, 0.0 * zb
+    live = gap > _CERTIFY_BITS * LN2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.any():
+            zo, fo = np.where(za == za, za, zp), np.where(za == za, fa, fp)
+            sec = np.where(fo != fb, fb * (zb - zo) / (fo - fb), 0.0)
+            step = np.minimum(np.where(sec * fb > 0.0, np.abs(sec), np.abs(fb)),
+                              2.0 * np.abs(zb - zo))
+            z = np.clip(zb + np.copysign(step, fb), -_LOGODDS_CLIP, _LOGODDS_CLIP)
+            live &= z != zb
+            new = evaluate(z)
+            flip, m = live & (new[1] * fb < 0.0), 1.0 - new[1] / fb
+            fa = np.where(flip, fb, np.where(live, fa * np.where(m > 0.0, m, 0.5), fa))
+            za, zp, fp = np.where(flip, zb, za), np.where(live, zb, zp), np.where(live, fb, fp)
+            zb = np.where(live, z, zb)
+            merit, fb, gap = (np.where(live, n, o) for n, o in zip(new, (merit, fb, gap)))
+            live &= (gap > _CERTIFY_BITS * LN2) & ~(np.abs(za - zb) <= _LOGODDS_TOL)
+    return sense * merit
 
 
 def _power_divided_differences(x: np.ndarray, a) -> np.ndarray:
@@ -604,8 +639,10 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     The solve runs in the log-odds z_i = log(q_i / q_0) on one of two paths
     (details in the comment above ``_LOGODDS_CLIP``):
 
-    * N=2: a log-domain golden-section search over the closed-form 2x2
-      spectrum, which cuts no weight; deterministic, never warns.
+    * N=2: a bracketed secant and Anderson-Bjorck root solve of the
+      closed-form gradient of the 2x2 spectrum in the log domain, which
+      cuts no weight. It stops on the Frank-Wolfe certificate of N=4 or a
+      1e-11 bracket in z; deterministic, never warns.
     * N=4: damped Newton with the exact (Daleckii-Krein) Hessian. It
       stops once the Frank-Wolfe gap certifies the value to 1e-12 bits:
       max_i (M^a)_ii / (q_i tr M^a) - 1 <= 1e-12 ln 2, up to the rounding
@@ -623,8 +660,8 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
 def sandwiched_up_invariant_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
     """``sandwiched_up_invariant`` at every (ensemble, order) pair, shape (A, O).
 
-    All A x O solves run together on arrays: the golden searches for N=2,
-    the certified Newton solves for N=4. A value is NaN where the Newton
+    All A x O solves run together on arrays: the bracketed root solves for
+    N=2, the certified Newton solves for N=4. A value is NaN where the Newton
     solve did not certify; the single-point solve then gives the value and
     the warning. numpy's exp and log may differ from math's in the last
     ulp, so a value can differ from the single-point one by a few ulps of

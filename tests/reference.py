@@ -3,7 +3,8 @@
 Nothing here runs in the command line or the library: random density
 matrices, Eve's N conditional states each built from its own formula, the
 brute-force entropies on the explicitly assembled block-diagonal
-classical-quantum state, an axis-aligned starting simplex, and the full
+classical-quantum state, the golden-section search that the two-state
+invariant solve replaced, an axis-aligned starting simplex, and the full
 phase-rotation symmetry group of an ensemble. The tests check the reduced
 formulas and the stored ensembles, which keep only rho_{E|0} and the
 diagonal of rho_E, against them.
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from pskrates import entropies
 from pskrates.linalg import (SUPPORT_CUTOFF, apply_on_support, matrix_log2, matrix_power,
                              partial_trace, support_spectrum)
 from pskrates.rng import normals, philox
@@ -112,6 +114,37 @@ def petz_down_matrix_path(ensemble: CQEnsemble, a: float) -> float:
     t = np.trace(apply_on_support(rho0, lambda lam: lam**a)
                  @ apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
     return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(fn, lo: float, hi: float, tol: float) -> float:
+    """Smallest value of a unimodal ``fn`` on [lo, hi], bracketed to ``tol``."""
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = fn(x2)
+    return min(f1, f2)
+
+
+def two_state_golden_log_trace(rho0: np.ndarray, a: float) -> float:
+    """opt_q log tr[(D rho0 D)^a] for N=2 by golden-section search.
+
+    The search runs over the log-odds z in [-60, 60] down to |dz| <= 1e-11,
+    on the merit s log T of ``entropies._two_state_merit`` (s = sign(a - 1)),
+    whose log T is unimodal in z.
+    """
+    evaluate, sense, _ = entropies._two_state_merit(
+        float(rho0[0, 0].real), float(rho0[1, 1].real), float(abs(rho0[0, 1])) ** 2, a, math)
+    return sense * golden_min(lambda z: evaluate(z)[0], -60.0, 60.0, 1e-11)
 
 
 def initial_simplex(x0: Sequence[float], step) -> list[np.ndarray]:

@@ -93,6 +93,20 @@ class TestEntropies:
             assert float(row[column]) == pytest.approx(2.0, abs=1e-8)
         assert float(row["B"]) < 2.0
 
+    def test_petz_down_stays_finite_where_a_weight_power_overflows(self, capsys):
+        # rho_E has a weight of 1.7e-12, whose power 1 - a overflows at
+        # a = 28.5; the trace is then summed from its logs. A 50-digit
+        # evaluation of the same functional gives -34.7690418469324.
+        code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
+                                 "--alpha", "0.015748055501709213", "--eta", "0.9925991179775914",
+                                 "--order", "28.495144093278615")
+        assert code == EXIT_OK and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert math.isfinite(float(row["petz_down"]))
+        assert float(row["petz_down"]) < float(row["sand_down"])
+        assert float(row["petz_down"]) == pytest.approx(-34.7690418469324, abs=1e-9)
+
     def test_order_below_half_leaves_sand_up_nan(self, capsys):
         code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
                                  "--alpha", "1", "--eta", "0.6", "--order", "0.3")

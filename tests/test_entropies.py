@@ -41,6 +41,7 @@ from reference import (
     initial_simplex,
     petz_down_matrix_path,
     random_density,
+    two_state_golden_log_trace,
 )
 
 
@@ -326,6 +327,30 @@ class TestContinuityBound:
                         <= sandwiched_up_invariant(ensemble, a) + 1e-9)
 
 
+@pytest.fixture(scope="module")
+def two_state_cases():
+    """(rho_{E|0}, a) pairs for N=2 and their golden-section optima of log T.
+
+    The optimizer's 25 x 25 grids at order caps 4 and 64 and 25 orders in
+    [1/2, 0.999], each at eta in {0, 0.5, 0.9, 1}, then 400 random points
+    with orders on both sides of 1.
+    """
+    def grid(cap):
+        return 1.0 + np.exp(np.linspace(math.log(1e-5), math.log(cap - 1.0), 25))
+
+    orders = np.concatenate((grid(4.0), np.linspace(0.5, 0.999, 25), grid(64.0)))
+    cases = [(build_ensemble(ProtocolParams(2, float(alpha), eta)).rho0, float(a))
+             for eta in (0.0, 0.5, 0.9, 1.0) for alpha in np.linspace(0.05, 3.0, 25)
+             for a in orders]
+    rng = philox_rng(401)
+    for _ in range(400):
+        params = random_protocol(rng, 2)
+        side = rng.choice([-1.0, 1.0])
+        a = 1.0 + side * 10.0 ** rng.uniform(-5.0, math.log10(0.5 if side < 0 else 63.0))
+        cases.append((build_ensemble(params).rho0, float(a)))
+    return cases, np.array([two_state_golden_log_trace(rho0, a) for rho0, a in cases])
+
+
 class TestSandwichedUpInvariant:
     def test_dominates_fixed_conditioner(self):
         rng = philox_rng(305)
@@ -375,6 +400,72 @@ class TestSandwichedUpInvariant:
                        for z0 in (-3.0, 0.0, 3.0))
             tol = 1e-10 if a >= 1.001 else 1e-9
             assert abs(sandwiched_up_invariant(ensemble, a) - (1.0 - best)) <= tol
+
+    def test_two_state_solve_matches_golden_section_reference(self, two_state_cases):
+        # the root solve against the golden-section search it replaced, on
+        # the same merit: at most 5.6e-16 max(1, a) apart in log T, scalar
+        # and array, where both carry the rounding of a log(lam_+)
+        cases, want = two_state_cases
+        orders = np.array([a for _, a in cases])
+        scalar = np.array([entropies._two_state_log_trace(rho0, a) for rho0, a in cases])
+        array = entropies._two_state_log_traces(np.array([rho0 for rho0, _ in cases]), orders)
+        bound = 1e-15 * np.maximum(1.0, orders)
+        assert np.all(np.abs(scalar - want) <= bound)
+        assert np.all(np.abs(array - want) <= bound)
+
+    def test_two_state_solve_takes_few_evaluations(self, two_state_cases, monkeypatch):
+        # the golden-section search took 66 merit evaluations per solve; the
+        # root solve takes at most 14 on these points, 2.7 on average
+        merit, counts = entropies._two_state_merit, []
+
+        def counted(*args):
+            evaluate, sense, start = merit(*args)
+            counts.append(0)
+
+            def count(z):
+                counts[-1] += 1
+                return evaluate(z)
+            return count, sense, start
+
+        monkeypatch.setattr(entropies, "_two_state_merit", counted)
+        for rho0, a in two_state_cases[0]:
+            entropies._two_state_log_trace(rho0, a)
+        assert max(counts) <= 16
+
+    def test_two_state_slope_matches_central_differences(self):
+        # d(s log T)/dz = -|a - 1| (w_1 - q_1) with w_1 / w_0 = e^(z + phi);
+        # at step 1e-5 the worst relative difference here is 9.0e-9
+        rng = philox_rng(613)
+        for _ in range(300):
+            rho0 = build_ensemble(random_protocol(rng, 2)).rho0
+            a, z = float(rng.uniform(0.5, 64.0)), float(rng.uniform(-20.0, 20.0))
+            evaluate, _, _ = entropies._two_state_merit(
+                float(rho0[0, 0].real), float(rho0[1, 1].real), float(abs(rho0[0, 1])) ** 2,
+                a, math)
+            w1 = math.exp(-entropies._softplus(-z - evaluate(z)[1]))
+            slope = -abs(a - 1.0) * (w1 - math.exp(-entropies._softplus(-z)))
+            numeric = (evaluate(z + 1e-5)[0] - evaluate(z - 1e-5)[0]) / 2e-5
+            assert abs(numeric - slope) <= 1e-7 * abs(slope)
+
+    def test_two_state_solve_never_warns_at_the_edges(self):
+        # pure rho_{E|0} (eta = 1 empties Eve's second basis state), both
+        # ends of the amplitude range and the ends of the order range
+        orders = [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 64.0]
+        for eta in (0.0, 1.0):
+            ensembles = [build_ensemble(ProtocolParams(2, alpha, eta)) for alpha in (0.05, 3.0)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = entropies.sandwiched_up_invariant_grid(ensembles, orders)
+                values = [[sandwiched_up_invariant(e, a) for a in orders] for e in ensembles]
+            for ensemble, row in zip(ensembles, values):
+                for a, value in zip(orders, row):
+                    want = two_state_golden_log_trace(ensemble.rho0, a)
+                    assert value == pytest.approx(1.0 + want / (math.log(2.0) * (1.0 - a)),
+                                                  abs=1e-15 * max(1.0, a) / abs(1.0 - a))
+                    if eta == 1.0:
+                        assert value == 1.0
+            assert np.all(np.abs(grid - values) <= 1e-15 * np.maximum(1.0, orders)
+                          / np.abs(1.0 - np.array(orders)))
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
     def test_array_solve_matches_single_point(self, eta):

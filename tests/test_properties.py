@@ -1,8 +1,8 @@
 """Property sweeps of the optimized sandwiched entropy.
 
 For BPSK and QPSK, orders run over [1/2, 1) and (1, 64], so the pair may
-straddle a = 1. Above 1 they exercise the golden-section search for N=2 and
-the certified Newton method for N=4; below 1 the Newton method for both. For
+straddle a = 1. They exercise the bracketed root solve for N=2 and the
+certified Newton method for N=4 on both sides of 1. For
 random pure tripartite states over ``DUAL_DIMS`` the general solve must
 certify both members of the duality H_a(A|B) + H_b(A|C) = 0, 1/a + 1/b = 2.
 """
