@@ -49,8 +49,6 @@ from .rates import (
     delta_eps,
     g_eps,
     leak,
-    leak_bpsk,
-    leak_qpsk,
     optimize_rate,
     rate_aep,
     rate_b,
@@ -59,11 +57,7 @@ from .rates import (
 from .states import (
     CQEnsemble,
     ProtocolParams,
-    build_bpsk_ensemble,
     build_ensemble,
-    build_qpsk_ensemble,
-    cond_prob_bpsk,
-    cond_prob_qpsk,
     cond_prob_table,
 )
 

@@ -97,6 +97,11 @@ def _entropy_row(params: ProtocolParams, order: float, path: str) -> list:
         row += [abs(analytic.petz_down - numeric.petz_down),
                 abs(analytic.petz_up - numeric.petz_up),
                 abs(analytic.sand_down - numeric.sand_down)]
+    # every functional is finite at a > 0: +-inf means a kernel left its range of orders
+    for name, value in zip(("petz_down", "petz_up", "sand_down", "sand_up", "vn", "B"), row[3:]):
+        if value is not None and math.isinf(value):
+            raise _ParameterError(f"{name} evaluates to {value} at order a={order:.12g}, "
+                                  "where it is finite: the order is out of the kernels' range")
     return row
 
 
@@ -203,8 +208,11 @@ def _cmd_sweep(args) -> int:
     rows = (_rate_rows(args, grid) if args.variable == "n"  # one call for all n
             else [row for value in grid for row in _sweep_point(args, value)])
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            _emit(fh, args._invocation, header, rows)
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                _emit(fh, args._invocation, header, rows)
+        except OSError as exc:
+            raise _ParameterError(f"cannot write output file: {exc}") from exc
     else:
         _emit(sys.stdout, args._invocation, header, rows)
     return EXIT_OK

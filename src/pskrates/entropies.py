@@ -224,9 +224,6 @@ _LOGODDS_TOL = 1e-11
 _CERTIFY_BITS = 1e-12
 _NEWTON_MAX_ITER = 50
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-#: Solves per stacked Newton step of the array solve: the Hessian's
-#: (k, k^2) complex intermediates of a block stay near 0.1 MB each.
-_NEWTON_BLOCK = 128
 
 
 def _softplus(z, xp=math):
@@ -278,8 +275,8 @@ def _two_state_merit(p0, p1, off, a, xp):
 
 def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
     """opt_q log tr[(D rho0 D)^a] for N=2, a >= 1/2: the minimum for a > 1, the maximum below."""
-    p0, p1 = float(rho0[0, 0].real), float(rho0[1, 1].real)
-    evaluate, sense, start = _two_state_merit(p0, p1, float(abs(rho0[0, 1])) ** 2, a, math)
+    p0, p1 = float(rho0[0, 0]), float(rho0[1, 1])
+    evaluate, sense, start = _two_state_merit(p0, p1, float(rho0[0, 1]) ** 2, a, math)
     zb = min(max(start, -_LOGODDS_CLIP), _LOGODDS_CLIP)
     merit, fb, gap = evaluate(zb)
     za = fa = math.nan  # the other end of the bracket: NaN until phi changes sign
@@ -307,8 +304,8 @@ def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
     Each point has its own bracket, last point and stopping test, and one
     that has stopped keeps its state, so each takes the steps it takes alone.
     """
-    p0, p1 = rho0s[:, 0, 0].real, rho0s[:, 1, 1].real
-    evaluate, sense, start = _two_state_merit(p0, p1, np.abs(rho0s[:, 0, 1]) ** 2, orders, np)
+    p0, p1 = rho0s[:, 0, 0], rho0s[:, 1, 1]
+    evaluate, sense, start = _two_state_merit(p0, p1, rho0s[:, 0, 1] ** 2, orders, np)
     zb = np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP)
     merit, fb, gap = evaluate(zb)
     za, fa, zp, fp = np.full(zb.shape, np.nan), np.full(zb.shape, np.nan), zb + fb, 0.0 * zb
@@ -467,7 +464,7 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
     diagonal entry is the reference weight q_0. For a < 1 the start is
     diag(rho0), which equals diag(rho_E) since every U_t is diagonal.
     """
-    p = np.diag(rho0).real
+    p = np.diag(rho0)
     support = np.flatnonzero(p > 0.0)
     support = support[np.argsort(-p[support], kind="stable")]
     rho = rho0[np.ix_(support, support)]
@@ -483,7 +480,7 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
         q = np.exp(log_q)
         d = np.exp(c * log_q)
         sp = _scaled_power(rho * np.outer(d, d), a, n)
-        w = (sp.v.real**2 + sp.v.imag**2) @ sp.xa / sp.t
+        w = sp.v**2 @ sp.xa / sp.t
         ratio = w / q
         kkt, floor = ratio - 1.0, sp.eps * (1.0 / (q * sp.t) + ratio)
         return _Iterate(z, sense * sp.log_t, sp.noise, float((kkt - floor).max()),
@@ -496,8 +493,8 @@ def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
             return None
         k = it.q.size
         kernel = _power_divided_differences(it.x, a) * (it.x[:, None] + it.x[None, :])
-        proj = (it.v.T[:, :, None] * it.v.T.conj()[:, None, :]).reshape(k, k * k)
-        h_t = (proj * (kernel @ proj.conj())).sum(axis=0).real.reshape(k, k)
+        proj = (it.v.T[:, :, None] * it.v.T[:, None, :]).reshape(k, k * k)
+        h_t = (proj * (kernel @ proj)).sum(axis=0).reshape(k, k)
         g_u = 2.0 * a * it.w
         h_u = 2.0 * a * h_t / it.t - np.outer(g_u, g_u)
         qf = it.q[1:]
@@ -523,7 +520,7 @@ def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple[np.ndarra
     solve, a zero row of rho0 gets zero weight, so the points whose rho0 has
     the same number of nonzero diagonal entries are solved together.
     """
-    p = np.diagonal(rho0s, axis1=1, axis2=2).real
+    p = np.diagonal(rho0s, axis1=1, axis2=2)
     perm = np.argsort(-p, axis=1, kind="stable")
     sizes = (p > 0.0).sum(axis=1)
     log_t, certified = np.empty(p.shape[0]), np.empty(p.shape[0], dtype=bool)
@@ -560,7 +557,7 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
         q = np.exp(log_q)
         d = np.exp(c[rows, None] * log_q)
         sp = _scaled_powers(rho[rows] * (d[:, :, None] * d[:, None, :]), a[rows], n)
-        w = ((sp.v.real**2 + sp.v.imag**2) @ sp.xa[:, :, None])[:, :, 0] / sp.t[:, None]
+        w = (sp.v**2 @ sp.xa[:, :, None])[:, :, 0] / sp.t[:, None]
         ratio = w / q
         kkt, floor = ratio - 1.0, sp.eps[:, None] * (1.0 / (q * sp.t[:, None]) + ratio)
         return _Iterate(z, sense[rows] * sp.log_t, sp.noise, (kkt - floor).max(axis=1),
@@ -573,8 +570,8 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
         ar, cr, sr = a[rows, None, None], c[rows, None, None], sense[rows, None, None]
         kernel = _power_divided_differences(it.x, ar) * (it.x[:, :, None] + it.x[:, None, :])
         vt = it.v.transpose(0, 2, 1)
-        proj = (vt[:, :, :, None] * vt.conj()[:, :, None, :]).reshape(rows.size, k, k * k)
-        h_t = (proj * (kernel @ proj.conj())).sum(axis=1).real.reshape(rows.size, k, k)
+        proj = (vt[:, :, :, None] * vt[:, :, None, :]).reshape(rows.size, k, k * k)
+        h_t = (proj * (kernel @ proj)).sum(axis=1).reshape(rows.size, k, k)
         g_u = 2.0 * a[rows, None] * it.w
         h_u = 2.0 * ar * h_t / it.t[:, None, None] - g_u[:, :, None] * g_u[:, None, :]
         qf = it.q[:, 1:, None]
@@ -595,10 +592,8 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
     searching = np.zeros(g, dtype=bool)  # solves in a line search
     while True:
         moving = np.flatnonzero(fresh)
-        for start in range(0, moving.size, _NEWTON_BLOCK):
-            rows = moving[start:start + _NEWTON_BLOCK]
-            slope[rows], step[rows], searching[rows] = newton_steps(
-                rows, _Iterate(*(field[rows] for field in it)))
+        slope[moving], step[moving], searching[moving] = newton_steps(
+            moving, _Iterate(*(field[moving] for field in it)))
         tau[moving], fresh[:] = 1.0, False
         rows = np.flatnonzero(searching)
         if not rows.size:
@@ -731,7 +726,7 @@ class ContinuityTerms:
         n = ensemble.n_states
         lam, u = np.linalg.eigh(ensemble.rho0)
         m = ensemble.avg_diag
-        w = np.abs(u.T) ** 2
+        w = u.T**2
         pos_l, pos_m = lam > 0.0, m > 0.0
         l_pos, m_pos = lam[pos_l], m[pos_m]
         p = l_pos[:, None] * w[pos_l][:, pos_m]
@@ -860,7 +855,7 @@ class BpskClosedFormInputs:
     """Scalar inputs shared by the two-state closed forms.
 
     kappa = exp(2 alpha^2 (eta - 1)) is the overlap of Eve's two states,
-    r the discrimination contrast erf(sqrt(2 eta) alpha),
+    r = erf(sqrt(2 eta) alpha) the contrast ``ProtocolParams.contrast``,
     g = sqrt(1 + (kappa^-2 - 1) r^2), theta = artanh(kappa g) and
     phi = artanh(kappa). Arguments of artanh are clamped to 1 - 1e-15
     against rounding; eta beyond CLOSED_FORM_ETA_MAX is rejected since
@@ -880,7 +875,7 @@ class BpskClosedFormInputs:
         if params.eta > CLOSED_FORM_ETA_MAX:
             raise ValueError("closed forms diverge at eta = 1; use the numeric path")
         kappa = math.exp(2.0 * params.alpha**2 * (params.eta - 1.0))
-        r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
+        r = params.contrast
         g = math.sqrt(1.0 + (kappa**-2 - 1.0) * r * r)
         theta = math.atanh(min(kappa * g, 1.0 - 1e-15))
         phi = math.atanh(min(kappa, 1.0 - 1e-15))

@@ -90,25 +90,9 @@ def _binary_entropy(p: float) -> float:
     return out
 
 
-def leak_bpsk(params: ProtocolParams) -> float:
-    """Reconciliation leak h2(p_+) with p_+- = (1 +- erf(sqrt(2 eta) alpha))/2."""
-    if params.n_states != 2:
-        raise ValueError("leak_bpsk requires n_states == 2")
-    r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
-    return _binary_entropy((1.0 + r) / 2.0)
-
-
-def leak_qpsk(params: ProtocolParams) -> float:
-    """Reconciliation leak -2 (P_+ log2 P_+ + P_- log2 P_-) for N=4."""
-    if params.n_states != 4:
-        raise ValueError("leak_qpsk requires n_states == 4")
-    r = math.erf(math.sqrt(params.eta / 2.0) * params.alpha)
-    return 2.0 * _binary_entropy((1.0 + r) / 2.0)
-
-
 def leak(params: ProtocolParams) -> float:
-    """Reconciliation leak H_N(Y|X) for either protocol."""
-    return leak_bpsk(params) if params.n_states == 2 else leak_qpsk(params)
+    """Reconciliation leak H_N(Y|X) = (N/2) h2(P_+) of N/2 sign decisions, P_+ = (1 + r)/2."""
+    return params.n_states // 2 * _binary_entropy((1.0 + params.contrast) / 2.0)
 
 
 def rate_s(ensemble: CQEnsemble, sp: SecurityParams) -> float:

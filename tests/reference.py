@@ -1,13 +1,15 @@
 """Reference implementations that only the tests use.
 
 Nothing here runs in the command line or the library: random density
-matrices, Eve's N conditional states each built from its own formula, the
-brute-force entropies on the explicitly assembled block-diagonal
-classical-quantum state, the golden-section search that the two-state
-invariant solve replaced, an axis-aligned starting simplex, and the full
-phase-rotation symmetry group of an ensemble. The tests check the reduced
-formulas and the stored ensembles, which keep only rho_{E|0} and the
-diagonal of rho_E, against them.
+matrices, the per-protocol formulas for the probability tables, the leaks
+and Eve's states (each erf written out, the QPSK state as a complex phase
+sum over a table row), Eve's N conditional states each built from its own
+formula, the brute-force entropies on the explicitly assembled
+block-diagonal classical-quantum state, the golden-section search that the
+two-state invariant solve replaced, an axis-aligned starting simplex, and
+the full phase-rotation symmetry group of an ensemble. The tests check the
+one contrast-based model of ``pskrates.states``, the reduced formulas and
+the stored ensembles, which keep only the real rho_{E|0}, against them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import numpy as np
 from pskrates import entropies
 from pskrates.linalg import (SUPPORT_CUTOFF, apply_on_support, matrix_log2, matrix_power,
                              partial_trace, support_spectrum)
+from pskrates.rates import _binary_entropy
 from pskrates.rng import normals, philox
-from pskrates.states import DEGENERACY_CUTOFF, CQEnsemble, ProtocolParams, cond_prob_table
+from pskrates.states import DEGENERACY_CUTOFF, CQEnsemble, ProtocolParams
 
 
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
@@ -34,32 +37,82 @@ def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def cond_prob_bpsk(params: ProtocolParams) -> np.ndarray:
+    """Binary table p[y][x]: p(y=x|x) = (1 + erf(sqrt(2 eta) alpha)) / 2."""
+    r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
+    same, diff = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+    return np.array([[same, diff], [diff, same]])
+
+
+def cond_prob_qpsk(params: ProtocolParams) -> np.ndarray:
+    """4x4 circulant p[y][k]: P_+^2, P_+ P_-, P_-^2, P_+ P_- at offsets 0..3.
+
+    P_pm = (1 +- erf(sqrt(eta/2) alpha)) / 2.
+    """
+    r = math.erf(math.sqrt(params.eta / 2.0) * params.alpha)
+    p_plus, p_minus = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+    entry = {0: p_plus**2, 2: p_minus**2, 1: p_plus * p_minus, 3: p_plus * p_minus}
+    return np.array([[entry[(y - k) % 4] for k in range(4)] for y in range(4)])
+
+
+def leak_bpsk(params: ProtocolParams) -> float:
+    """h2(p_+) with p_+ = (1 + erf(sqrt(2 eta) alpha)) / 2."""
+    return _binary_entropy((1.0 + math.erf(math.sqrt(2.0 * params.eta) * params.alpha)) / 2.0)
+
+
+def leak_qpsk(params: ProtocolParams) -> float:
+    """2 h2(P_+) with P_+ = (1 + erf(sqrt(eta/2) alpha)) / 2."""
+    return 2.0 * _binary_entropy((1.0 + math.erf(math.sqrt(params.eta / 2.0) * params.alpha)) / 2.0)
+
+
+def _bpsk_states(params: ProtocolParams, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    gamma = params.gamma
+    c_plus = 1.0 + math.exp(-2.0 * gamma * gamma)
+    c_minus = -math.expm1(-2.0 * gamma * gamma)
+    if c_minus < DEGENERACY_CUTOFF:
+        c_minus = 0.0
+    r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
+    off = sign * r * math.sqrt(c_plus * c_minus) / 2.0
+    return (np.array([[c_plus / 2.0, off], [off, c_minus / 2.0]], dtype=complex),
+            np.array([c_plus / 2.0, c_minus / 2.0]))
+
+
+def _qpsk_state(params: ProtocolParams, y: int) -> tuple[np.ndarray, np.ndarray]:
+    g2 = params.gamma * params.gamma
+    s = np.arange(4)
+    norms = 1.0 + np.exp(-2.0 * g2) * np.cos(np.pi * s) + 2.0 * np.exp(-g2) * np.cos(g2 + np.pi * s / 2.0)
+    norms = np.where(norms < DEGENERACY_CUTOFF, 0.0, norms)
+    weights = np.sqrt(norms) / 2.0
+    phases = np.exp(-1j * np.pi * np.outer(s, np.arange(4)) / 2.0)
+    return (np.outer(weights, weights) * ((phases * cond_prob_qpsk(params)[y]) @ phases.conj().T),
+            norms / 4.0)
+
+
+def build_bpsk_ensemble(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_{E|0}, diag(rho_E)) for N=2: (1/2)[[c_+, r sqrt(c_+ c_-)], [., c_-]], (c_+, c_-)/2."""
+    return _bpsk_states(params, 1.0)
+
+
+def build_qpsk_ensemble(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_{E|0}, diag(rho_E)) for N=4 as a complex phase sum over row 0 of the table.
+
+    rho[s, s'] = w_s w_s' sum_k p(0|k) exp(-i pi (s - s') k / 2) with
+    w_s = sqrt(1/N_s^2)/2, and diag(rho_E) = 1/(4 N_s^2).
+    """
+    return _qpsk_state(params, 0)
+
+
 def conditional_states(params: ProtocolParams) -> list[np.ndarray]:
     """Eve's state rho_{E|y} for each of Bob's symbols y, in the stored basis.
 
     Each state comes from its own formula, not from rotating state 0:
     (1/2)[[c_+, +-r sqrt(c_+ c_-)], [+-r sqrt(c_+ c_-), c_-]] for N=2, the +
     sign for y = 0, and w_s w_s' sum_k p(y|k) exp(-i pi (s - s') k / 2) with
-    row y of the table for N=4 (see ``pskrates.states``).
+    row y of the table for N=4 (see ``build_qpsk_ensemble``).
     """
-    gamma = params.gamma
     if params.n_states == 2:
-        c_plus = 1.0 + math.exp(-2.0 * gamma * gamma)
-        c_minus = -math.expm1(-2.0 * gamma * gamma)
-        if c_minus < DEGENERACY_CUTOFF:
-            c_minus = 0.0
-        r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
-        off = r * math.sqrt(c_plus * c_minus) / 2.0
-        return [np.array([[c_plus / 2.0, sign * off], [sign * off, c_minus / 2.0]], dtype=complex)
-                for sign in (1.0, -1.0)]
-    g2 = gamma * gamma
-    s = np.arange(4)
-    norms = 1.0 + np.exp(-2.0 * g2) * np.cos(np.pi * s) + 2.0 * np.exp(-g2) * np.cos(g2 + np.pi * s / 2.0)
-    weights = np.sqrt(np.where(norms < DEGENERACY_CUTOFF, 0.0, norms)) / 2.0
-    phases = np.exp(-1j * np.pi * np.outer(s, np.arange(4)) / 2.0)
-    table = cond_prob_table(params)
-    return [np.outer(weights, weights) * ((phases * table[y]) @ phases.conj().T)
-            for y in range(4)]
+        return [_bpsk_states(params, sign)[0] for sign in (1.0, -1.0)]
+    return [_qpsk_state(params, y)[0] for y in range(4)]
 
 
 def assemble_cq_state(ensemble: CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +196,7 @@ def two_state_golden_log_trace(rho0: np.ndarray, a: float) -> float:
     whose log T is unimodal in z.
     """
     evaluate, sense, _ = entropies._two_state_merit(
-        float(rho0[0, 0].real), float(rho0[1, 1].real), float(abs(rho0[0, 1])) ** 2, a, math)
+        float(rho0[0, 0]), float(rho0[1, 1]), float(rho0[0, 1]) ** 2, a, math)
     return sense * golden_min(lambda z: evaluate(z)[0], -60.0, 60.0, 1e-11)
 
 

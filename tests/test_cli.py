@@ -107,6 +107,13 @@ class TestEntropies:
         assert float(row["petz_down"]) < float(row["sand_down"])
         assert float(row["petz_down"]) == pytest.approx(-34.7690418469324, abs=1e-9)
 
+    def test_infinite_value_at_extreme_order_is_refused(self, capsys):
+        # sand_down is finite here, but its kernel gives -inf at a = 1000
+        code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
+                                 "--alpha", "1", "--eta", "0.5", "--order", "1000")
+        assert code == EXIT_PARAMS and out == ""
+        assert "sand_down" in err and "a=1000" in err
+
     def test_order_below_half_leaves_sand_up_nan(self, capsys):
         code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
                                  "--alpha", "1", "--eta", "0.6", "--order", "0.3")
@@ -338,6 +345,15 @@ class TestSweep:
         assert out == ""
         header, rows = parse_csv(target.read_text())
         assert len(rows) == 2
+
+    def test_unwritable_output_is_parameter_error(self, capsys, tmp_path):
+        target = tmp_path / "no-such-directory" / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--variable", "eta",
+                                 "--from", "0.1", "--to", "0.9", "--points", "2",
+                                 "--quantity", "entropies", "--protocol", "bpsk",
+                                 "--alpha", "1", "--output", str(target))
+        assert code == EXIT_PARAMS and out == ""
+        assert err.startswith("error: cannot write") and str(target) in err
 
     def test_bad_bounds(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--variable", "eta",

@@ -15,8 +15,6 @@ from pskrates.rates import (
     delta_eps,
     g_eps,
     leak,
-    leak_bpsk,
-    leak_qpsk,
     optimize_rate,
     rate_aep,
     rate_b,
@@ -85,14 +83,14 @@ class TestCorrections:
 
 class TestLeak:
     def test_no_signal_leaks_everything(self):
-        assert leak_bpsk(ProtocolParams(2, 0.0, 0.8)) == pytest.approx(1.0)
-        assert leak_bpsk(ProtocolParams(2, 1.0, 0.0)) == pytest.approx(1.0)
-        assert leak_qpsk(ProtocolParams(4, 0.0, 0.8)) == pytest.approx(2.0)
+        assert leak(ProtocolParams(2, 0.0, 0.8)) == pytest.approx(1.0)
+        assert leak(ProtocolParams(2, 1.0, 0.0)) == pytest.approx(1.0)
+        assert leak(ProtocolParams(4, 0.0, 0.8)) == pytest.approx(2.0)
 
     def test_bpsk_value_from_erf_oracle(self):
         p = (1.0 + erf_oracle(math.sqrt(1.8))) / 2.0
         expected = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-        assert leak_bpsk(ProtocolParams(2, 1.0, 0.9)) == pytest.approx(expected, abs=1e-14)
+        assert leak(ProtocolParams(2, 1.0, 0.9)) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(0.18879326158575405, abs=1e-12)
 
     def test_qpsk_matches_generic_column_entropy(self):
@@ -100,16 +98,16 @@ class TestLeak:
         for _ in range(50):
             params = random_protocol(rng, 4)
             table = cond_prob_table(params)
-            assert abs(leak_qpsk(params) - leak_from_table(table)) <= 1e-12
+            assert abs(leak(params) - leak_from_table(table)) <= 1e-12
 
     def test_bpsk_matches_generic_column_entropy(self):
         rng = philox_rng(402)
         for _ in range(50):
             params = random_protocol(rng, 2)
-            assert abs(leak_bpsk(params) - leak_from_table(cond_prob_table(params))) <= 1e-12
+            assert abs(leak(params) - leak_from_table(cond_prob_table(params))) <= 1e-12
 
     def test_monotone_decreasing_in_alpha(self):
-        values = [leak_qpsk(ProtocolParams(4, a, 0.7)) for a in (0.2, 0.6, 1.2, 2.0)]
+        values = [leak(ProtocolParams(4, a, 0.7)) for a in (0.2, 0.6, 1.2, 2.0)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_nonnegative(self):

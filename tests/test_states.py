@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from pskrates.entropies import BpskClosedFormInputs
 from pskrates.oracles import erf_oracle
-from pskrates.states import (
-    CQEnsemble,
-    ProtocolParams,
-    build_bpsk_ensemble,
-    build_ensemble,
-    build_qpsk_ensemble,
-    cond_prob_bpsk,
-    cond_prob_qpsk,
-    cond_prob_table,
-)
+from pskrates.rates import leak
+from pskrates.states import CQEnsemble, ProtocolParams, build_ensemble, cond_prob_table
 
 from conftest import philox_rng, random_protocol
-from reference import conditional_states, symmetry_group
+from reference import (build_bpsk_ensemble, build_qpsk_ensemble, cond_prob_bpsk, cond_prob_qpsk,
+                       conditional_states, leak_bpsk, leak_qpsk, symmetry_group)
+
+#: alpha x eta corners of the one-model checks, beside random points.
+CORNERS = [(alpha, eta) for alpha in (0.0, 1e-6, 10.0) for eta in (0.0, 1e-9, 1.0 - 1e-9, 1.0)]
+
+
+def model_points(seed: int, n_states: int, count: int = 200) -> list[ProtocolParams]:
+    rng = philox_rng(seed)
+    return ([ProtocolParams(n_states, alpha, eta) for alpha, eta in CORNERS]
+            + [random_protocol(rng, n_states) for _ in range(count)])
 
 
 def coherent_overlap(beta1: complex, beta2: complex) -> complex:
@@ -45,14 +48,14 @@ class TestProtocolParams:
 class TestCondProb:
     def test_bpsk_no_signal_is_uniform(self):
         for params in (ProtocolParams(2, 0.0, 0.7), ProtocolParams(2, 1.3, 0.0)):
-            assert np.allclose(cond_prob_bpsk(params), 0.5, atol=1e-15)
+            assert np.allclose(cond_prob_table(params), 0.5, atol=1e-15)
 
     def test_qpsk_no_signal_is_uniform(self):
         for params in (ProtocolParams(4, 0.0, 0.7), ProtocolParams(4, 1.3, 0.0)):
-            assert np.allclose(cond_prob_qpsk(params), 0.25, atol=1e-15)
+            assert np.allclose(cond_prob_table(params), 0.25, atol=1e-15)
 
     def test_bpsk_against_erf_oracle(self):
-        table = cond_prob_bpsk(ProtocolParams(2, 1.0, 0.9))
+        table = cond_prob_table(ProtocolParams(2, 1.0, 0.9))
         p_same = (1.0 + erf_oracle(math.sqrt(1.8))) / 2.0
         assert abs(p_same - 0.9711102144382014) < 1e-12  # frozen from the oracle
         assert abs(table[0, 0] - p_same) <= 1e-15
@@ -60,7 +63,7 @@ class TestCondProb:
         assert abs(table[1, 0] - (1.0 - p_same)) <= 1e-15
 
     def test_qpsk_against_erf_oracle(self):
-        table = cond_prob_qpsk(ProtocolParams(4, 1.0, 0.9))
+        table = cond_prob_table(ProtocolParams(4, 1.0, 0.9))
         p_plus = (1.0 + erf_oracle(math.sqrt(0.45))) / 2.0
         assert abs(p_plus - 0.8286091444260444) < 1e-12  # frozen from the oracle
         for k in range(4):
@@ -76,11 +79,55 @@ class TestCondProb:
                 assert np.abs(table.sum(axis=0) - 1.0).max() <= 1e-12
                 assert (table >= 0.0).all() and (table <= 1.0).all()
 
-    def test_modulation_guards(self):
-        with pytest.raises(ValueError):
-            cond_prob_bpsk(ProtocolParams(4, 1.0, 0.5))
-        with pytest.raises(ValueError):
-            cond_prob_qpsk(ProtocolParams(2, 1.0, 0.5))
+
+class TestOneModel:
+    """The contrast-based tables, leaks and real rho_{E|0} against the per-protocol formulas."""
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_tables_and_leaks_are_bit_identical(self, n_states):
+        table_ref, leak_ref = {2: (cond_prob_bpsk, leak_bpsk),
+                               4: (cond_prob_qpsk, leak_qpsk)}[n_states]
+        for params in model_points(204, n_states):
+            assert np.array_equal(cond_prob_table(params), table_ref(params))
+            assert leak(params) == leak_ref(params)
+
+    def test_bpsk_closed_form_inputs_are_bit_identical(self):
+        for params in model_points(205, 2):
+            if params.eta > 1.0 - 1e-9:
+                continue
+            s = BpskClosedFormInputs.from_params(params)
+            r = math.erf(math.sqrt(2.0 * params.eta) * params.alpha)
+            kappa = math.exp(2.0 * params.alpha**2 * (params.eta - 1.0))
+            g = math.sqrt(1.0 + (kappa**-2 - 1.0) * r * r)
+            assert (s.kappa, s.r, s.g) == (kappa, r, g)
+            assert s.theta == math.atanh(min(kappa * g, 1.0 - 1e-15))
+
+    def test_bpsk_ensemble_is_bit_identical(self):
+        for params in model_points(206, 2):
+            ensemble = build_ensemble(params)
+            rho0, avg_diag = build_bpsk_ensemble(params)
+            assert np.array_equal(ensemble.rho0, rho0.real) and not rho0.imag.any()
+            assert np.array_equal(ensemble.avg_diag, avg_diag)
+
+    def test_qpsk_ensemble_matches_the_phase_sum(self):
+        for params in model_points(207, 4):
+            ensemble = build_ensemble(params)
+            rho0, avg_diag = build_qpsk_ensemble(params)
+            assert np.abs(ensemble.rho0 - rho0).max() <= 4e-16
+            assert np.abs(ensemble.avg_diag - avg_diag).max() <= 4e-16
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_rho0_is_real_and_exactly_symmetric(self, n_states):
+        for params in model_points(208, n_states):
+            rho0 = build_ensemble(params).rho0
+            assert rho0.dtype == np.float64 and np.array_equal(rho0, rho0.T)
+            assert not rho0.flags.writeable
+            assert np.abs(conditional_states(params)[0] - rho0).max() <= 1e-15
+
+    def test_contrast_is_one_erf_per_decision(self):
+        assert ProtocolParams(2, 1.0, 0.9).contrast == math.erf(math.sqrt(1.8))
+        assert ProtocolParams(4, 1.0, 0.9).contrast == math.erf(math.sqrt(0.45))
+        assert ProtocolParams(4, 0.0, 0.9).contrast == ProtocolParams(2, 1.0, 0.0).contrast == 0.0
 
 
 class TestEnsembles:
@@ -99,7 +146,7 @@ class TestEnsembles:
 
     def test_bpsk_offdiagonal_by_direct_substitution(self):
         params = ProtocolParams(2, 1.0, 0.9)
-        ensemble = build_bpsk_ensemble(params)
+        ensemble = build_ensemble(params)
         c_plus = 1.0 + math.exp(-0.2)
         c_minus = 1.0 - math.exp(-0.2)
         expected = erf_oracle(math.sqrt(1.8)) * math.sqrt(c_plus * c_minus) / 2.0
@@ -111,12 +158,12 @@ class TestEnsembles:
     def test_bpsk_lossless_channel_leaves_vacuum(self):
         params = ProtocolParams(2, 1.0, 1.0)
         vacuum = np.diag([1.0, 0.0])
-        for rho in (build_bpsk_ensemble(params).rho0, *conditional_states(params)):
+        for rho in (build_ensemble(params).rho0, *conditional_states(params)):
             assert np.abs(rho - vacuum).max() <= 1e-14
 
     def test_bpsk_unmodulated_states_coincide(self):
         params = ProtocolParams(2, 0.0, 0.3)
-        avg = np.diag(build_bpsk_ensemble(params).avg_diag)
+        avg = np.diag(build_ensemble(params).avg_diag)
         for rho in conditional_states(params):
             assert np.abs(rho - avg).max() <= 1e-14
 
@@ -144,7 +191,7 @@ class TestEnsembles:
         # independent normalization: 1/N_s^2 as a phase-weighted Gram sum of
         # the four leaked coherent states
         params = ProtocolParams(4, 1.0, 0.9)
-        ensemble = build_qpsk_ensemble(params)
+        ensemble = build_ensemble(params)
         gammas = [1j**k * np.exp(1j * np.pi / 4.0) * params.gamma for k in range(4)]
         gram = np.array([[coherent_overlap(g1, g2) for g2 in gammas] for g1 in gammas])
         for s in range(4):
@@ -155,25 +202,26 @@ class TestEnsembles:
 
     def test_qpsk_lossless_channel_single_projector(self):
         params = ProtocolParams(4, 1.0, 1.0)
-        first = build_qpsk_ensemble(params).rho0
+        first = build_ensemble(params).rho0
         lam = np.linalg.eigvalsh(first)
         assert abs(lam[-1] - 1.0) <= 1e-12 and np.abs(lam[:-1]).max() <= 1e-12
         for rho in conditional_states(params):
             assert np.abs(rho - first).max() <= 1e-12
 
-    # The stored pair is all a CQEnsemble holds; conditional states with
-    # unequal spectra cannot be represented at all.
-    @pytest.mark.parametrize("rho0, avg_diag, match", [
-        (np.eye(4) / 4.0, np.full(2, 0.5), "modulation size"),
-        (np.eye(2) / 2.0, np.eye(2) / 2.0, "modulation size"),
-        (np.array([[0.6, 0.2], [0.2, 0.4]]), np.full(2, 0.5), "mixture"),
-        (np.eye(2) * 0.6, np.full(2, 0.6), "trace"),
-        (np.array([[0.5, 0.6], [0.6, 0.5]]), np.full(2, 0.5), "positive semidefinite"),
-    ], ids=["rho0-shape", "avg_diag-shape", "mixture", "trace", "negative-eigenvalue"])
-    def test_rejects_inconsistent_stored_data(self, rho0, avg_diag, match):
+    # rho_{E|0} is all a CQEnsemble holds, and its diagonal is rho_E's;
+    # conditional states with unequal spectra cannot be represented at all.
+    @pytest.mark.parametrize("rho0, match", [
+        (np.eye(4) / 4.0, "modulation size"),
+        (np.eye(2) * 0.6, "trace"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), "positive semidefinite"),
+        (np.array([[0.6, 0.2j], [-0.2j, 0.4]]), "real"),
+        (np.eye(2).astype(complex) / 2.0, "real"),
+        (np.array([[0.6, 0.2], [np.nextafter(0.2, 1.0), 0.4]]), "symmetric"),
+    ], ids=["rho0-shape", "trace", "negative-eigenvalue", "complex", "complex-dtype",
+            "asymmetric"])
+    def test_rejects_inconsistent_stored_data(self, rho0, match):
         with pytest.raises(ValueError, match=match):
-            CQEnsemble(params=ProtocolParams(2, 1.0, 0.5), rho0=rho0.astype(complex),
-                       avg_diag=avg_diag)
+            CQEnsemble(params=ProtocolParams(2, 1.0, 0.5), rho0=rho0)
 
 
 class TestSymmetryGroup:
