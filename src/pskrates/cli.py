@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import math
 import sys
 import warnings
@@ -382,6 +383,9 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: the parser is built on the first ``main`` call and serves every later one
+_parser = functools.cache(build_parser)
+
 _COMMANDS = {
     "probs": _cmd_probs,
     "entropies": _cmd_entropies,
@@ -393,10 +397,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         expanded = _apply_config(argv)
-        args = parser.parse_args(expanded)
+        args = _parser().parse_args(expanded)
         args._invocation = " ".join(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("error", entropies.ConvergenceWarning)

@@ -301,30 +301,30 @@ def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
 def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """``_two_state_log_trace`` at each 2x2 of a (G, 2, 2) stack and order of a (G,) array.
 
-    Each point has its own bracket, last point and stopping test, and one
-    that has stopped keeps its state, so each takes the steps it takes alone.
+    Each point has its own bracket, last point and stopping test, and each
+    round evaluates only the points still running (indices ``live``), so each
+    takes the steps it takes alone.
     """
-    p0, p1 = rho0s[:, 0, 0], rho0s[:, 1, 1]
-    evaluate, sense, start = _two_state_merit(p0, p1, rho0s[:, 0, 1] ** 2, orders, np)
-    zb = np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP)
-    merit, fb, gap = evaluate(zb)
+    args = rho0s[:, 0, 0], rho0s[:, 1, 1], rho0s[:, 0, 1] ** 2, orders
+    evaluate, sense, start = _two_state_merit(*args, np)
+    merit, fb, gap = evaluate(np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP))
+    live = np.flatnonzero(gap > _CERTIFY_BITS * LN2)
+    zb, fb = np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP)[live], fb[live]
     za, fa, zp, fp = np.full(zb.shape, np.nan), np.full(zb.shape, np.nan), zb + fb, 0.0 * zb
-    live = gap > _CERTIFY_BITS * LN2
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.any():
+        while live.size:
             zo, fo = np.where(za == za, za, zp), np.where(za == za, fa, fp)
             sec = np.where(fo != fb, fb * (zb - zo) / (fo - fb), 0.0)
             step = np.minimum(np.where(sec * fb > 0.0, np.abs(sec), np.abs(fb)),
                               2.0 * np.abs(zb - zo))
             z = np.clip(zb + np.copysign(step, fb), -_LOGODDS_CLIP, _LOGODDS_CLIP)
-            live &= z != zb
-            new = evaluate(z)
-            flip, m = live & (new[1] * fb < 0.0), 1.0 - new[1] / fb
-            fa = np.where(flip, fb, np.where(live, fa * np.where(m > 0.0, m, 0.5), fa))
-            za, zp, fp = np.where(flip, zb, za), np.where(live, zb, zp), np.where(live, fb, fp)
-            zb = np.where(live, z, zb)
-            merit, fb, gap = (np.where(live, n, o) for n, o in zip(new, (merit, fb, gap)))
-            live &= (gap > _CERTIFY_BITS * LN2) & ~(np.abs(za - zb) <= _LOGODDS_TOL)
+            live, z, zb, fb, za, fa = (v[z != zb] for v in (live, z, zb, fb, za, fa))
+            merit[live], fc, gap = _two_state_merit(*(v[live] for v in args), np)[0](z)
+            flip, m = fc * fb < 0.0, 1.0 - fc / fb
+            fa = np.where(flip, fb, fa * np.where(m > 0.0, m, 0.5))
+            za, zp, fp, zb, fb = np.where(flip, zb, za), zb, fb, z, fc
+            running = (gap > _CERTIFY_BITS * LN2) & ~(np.abs(za - zb) <= _LOGODDS_TOL)
+            live, zb, fb, za, fa, zp, fp = (v[running] for v in (live, zb, fb, za, fa, zp, fp))
     return sense * merit
 
 
@@ -772,7 +772,7 @@ class ContinuityTerms:
 #: The terms of every live ensemble asked for, keyed weakly by identity
 #: (``CQEnsemble`` is frozen, compares by identity and holds read-only
 #: arrays), so each slot goes with its ensemble. ``optimize_rate`` holds
-#: the ensembles of its grid and its Nelder-Mead steps until it returns, so
+#: the ensembles of its grid and its polish steps until it returns, so
 #: the grids of all its estimators and the scalar evaluations at the same
 #: amplitudes share one set of terms: under 1 kB per amplitude, about
 #: 0.1 MB for a one-n call and a few MB for a 25-point sweep.

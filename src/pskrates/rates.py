@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropies
-from .optimize import nelder_mead
+from .optimize import quadratic_polish
 from .states import CQEnsemble, ProtocolParams, build_ensemble
 
 #: Default upper bound of the Rényi-order search for the S estimator. The
@@ -33,6 +33,9 @@ A_MAX_S_LIMIT = 64.0
 #: Rényi-order search floor, as an offset from 1.
 A_MIN_OFFSET = 1e-9
 _A_GRID_OFFSET_MIN = 1e-5
+
+#: Rounding error of a rate, in bits; an order's entropy term carries this / (a - 1) more.
+_ROUNDING = 1e-15
 
 #: Amplitude search interval, and the points per axis of the coarse scan.
 ALPHA_BOUNDS = (0.05, 3.0)
@@ -121,6 +124,8 @@ class RateResult:
     leak: float
     key_possible: bool
     converged: bool = True
+    evaluations: int = 0  # distinct points the polish scored, memo hits included
+    at_bound: str | None = None  # the active box bounds, e.g. "a_max"
 
 
 @dataclass(frozen=True)
@@ -214,25 +219,21 @@ def optimize_rate(
     """Maximize estimators over the amplitude and the Rényi order at each block size.
 
     ``estimator`` is a name or a comma list such as "AEP,B"; the results
-    come by n, then by estimator as listed. A coarse grid scan over alpha in
-    ``ALPHA_BOUNDS`` (``GRID_POINTS`` per axis; the order axis is gridded in
-    log(a - 1)) locates the basin, then Nelder-Mead refines from the best
-    three grid points; ties in the scan break toward the smallest (alpha,
-    a). AEP has no order and is optimized over alpha alone. Negative optima
-    are returned as computed, flagged by ``key_possible``. Each amplitude's
-    ensemble, leak and continuity terms serve every estimator of the call,
-    and each point's entropy term is computed once per call, as it does not
-    depend on n; a result equals that of a one-n, one-estimator call bit
-    for bit.
-
-    Each estimator's ``grid_fn`` ranks its grid, and each block size scores
-    the grid in one array expression. Those values only rank: every value
-    reported, the simplex vertices included, comes from ``entropy_fn``,
-    which also scores the points the hook left NaN.
+    come by n, then by estimator as listed. Each estimator's ``grid_fn``
+    ranks a grid over alpha in ``ALPHA_BOUNDS`` (``GRID_POINTS`` per axis;
+    the order axis in log(a - 1)), scored for each n in one array
+    expression; ties break toward the smallest (alpha, a). From the winner,
+    ``quadratic_polish`` certifies the optimum to 1e-12 bits, or to the
+    rate's rounding ``_ROUNDING`` (1 + 1/(a - 1)), its first model fitted to
+    the winner's 3 x 3 block of grid values (AEP has no order). Every value
+    reported comes from ``entropy_fn``, computed once per point and call
+    (it does not depend on n), so a rate is never below the winner's, and a
+    result equals that of a one-n, one-estimator call bit for bit. Each
+    amplitude's ensemble, leak and continuity terms serve every estimator.
 
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
-    names the estimator, n and the first (alpha, a) that warned. Nelder-Mead
+    names the estimator, n and the first (alpha, a) that warned. A polish
     stopping at its iteration cap does the same with the (alpha, a) reached.
     These are issued once the search is over, after the other warnings.
     """
@@ -282,58 +283,52 @@ def optimize_rate(
 
     def search(spec: Estimator, grid: tuple, n: float) -> RateResult:
         log_a_hi, points, orders, h, warned = grid
-        warned = list(warned)  # plus the Nelder-Mead evaluations of this n
+        warned = list(warned)  # plus the polish's evaluations of this n
         rate_at = spec.rate_at(n, eps, eps_prime, n_states)
         scores = rate_at(h, orders, np.array([[amplitude(alpha)[1]] for alpha in alphas]))
-        dim = 2 if spec.takes_order else 1
         # deterministic reduction: max by value, ties to smallest parameters
-        best = np.lexsort([*np.array(points).T[::-1], -scores.ravel()])[:dim + 1]
-        simplex = [np.array(points[i]) for i in best]
-        if dim == 2:
-            span = np.array([simplex[1] - simplex[0], simplex[2] - simplex[0]])
-            if abs(np.linalg.det(span)) < 1e-12:  # collinear grid points stall NM
-                # one grid step off the line: in alpha if the best two share it
-                same_alpha = simplex[1][0] == simplex[0][0]
-                step = [hi - lo, 0.0] if same_alpha else [0.0, log_a_hi - log_a_lo]
-                simplex[2] = simplex[0] + np.array(step) / (GRID_POINTS - 1)
+        best = np.lexsort([*np.array(points).T[::-1], -scores.ravel()])[0]
+        # the first model: the winner's 3 x 3 block (3 x 1 for AEP), shifted into the grid
+        i, j = (max(min(k - 1, size - 3), 0)
+                for k, size in zip(divmod(best, scores.shape[1]), scores.shape))
+        block = np.array(points).reshape(*scores.shape, -1)[i:i + 3, j:j + 3]
+        box = np.array([(lo, hi), (math.log(A_MIN_OFFSET), log_a_hi)][:block.shape[-1]])
+        grid_step = (box[:, 1] - [lo, log_a_lo][:len(box)]) / (GRID_POINTS - 1)
 
-        def clip(x: np.ndarray) -> tuple[float, float | None]:
-            alpha = float(min(max(x[0], lo), hi))
-            if not spec.takes_order:
-                return alpha, None
-            log_a = float(min(max(x[1], math.log(A_MIN_OFFSET)), log_a_hi))
-            return alpha, log_a
-
-        def negated(x: np.ndarray) -> float:
-            alpha, log_a = clip(x)
+        def objective(x: np.ndarray) -> float:
+            alpha, log_a = float(x[0]), float(x[1]) if spec.takes_order else None
             a, h_point, messages = term(spec, alpha, log_a)
             warned.extend((alpha, a, message) for message in messages)
-            return -float(rate_at(h_point, a, amplitude(alpha)[1]))
+            return float(rate_at(h_point, a, amplitude(alpha)[1]))
 
-        # Nelder-Mead evaluates the grid winner first and never returns a
-        # worse vertex, so its result is at least the winner's value
-        refined = nelder_mead(negated, simplex, f_tol=1e-9, max_iter=500)
-        best_rate = -refined.fun
-        alpha_opt, log_a_opt = clip(refined.x)
+        def noise(x: np.ndarray) -> float:  # a rate's rounding, and log T / (1 - a)'s
+            return _ROUNDING * (1.0 + (math.exp(-x[1]) if spec.takes_order else 0.0))
 
-        a_opt = 1.0 + math.exp(log_a_opt) if spec.takes_order else None
+        model = block.reshape(-1, len(box)), scores[i:i + 3, j:j + 3].ravel()
+        polish = quadratic_polish(objective, points[best], *box.T, grid_step, noise, model)
+        alpha_opt = float(polish.x[0])
+        a_opt = 1.0 + math.exp(polish.x[1]) if spec.takes_order else None
         if warned:
             alpha_w, a_w, message = warned[0]
             notes.append(f"{spec.name} rate at n={n:g}: {len(warned)} entropy "
                          f"evaluation(s) did not converge, first at {_at(alpha_w, a_w)} "
                          f"({message})")
-        if not refined.converged:
-            notes.append(f"{spec.name} rate at n={n:g}: Nelder-Mead did not converge "
-                         f"in {refined.iterations} iterations, stopped at "
+        if not polish.converged:
+            notes.append(f"{spec.name} rate at n={n:g}: the polish did not converge "
+                         f"in {polish.iterations} iterations, stopped at "
                          f"{_at(alpha_opt, a_opt)}")
         return RateResult(
             estimator=spec.name,
-            rate=float(best_rate),
-            alpha_opt=float(alpha_opt),
+            rate=polish.fun,
+            alpha_opt=alpha_opt,
             a_opt=a_opt,
             leak=amplitude(alpha_opt)[1],
-            key_possible=bool(best_rate > 0.0),
-            converged=bool(refined.converged) and not warned,
+            key_possible=bool(polish.fun > 0.0),
+            converged=bool(polish.converged) and not warned,
+            evaluations=polish.evaluations,
+            at_bound=",".join(name for name, x, edge in zip(
+                ("alpha_min", "alpha_max", "a_min", "a_max"), np.repeat(polish.x, 2), box.ravel())
+                if x == edge) or None,
         )
 
     with warnings.catch_warnings(record=True) as caught:

@@ -29,11 +29,11 @@ def score_grid_point_by_point(monkeypatch):
                         lambda ensembles, orders: np.full((len(ensembles), len(orders)), np.nan))
 
 
-def cap_nelder_mead(monkeypatch):
-    """Stop every Nelder-Mead refinement of ``optimize_rate`` after two iterations."""
-    nelder_mead = rates.nelder_mead
-    monkeypatch.setattr(rates, "nelder_mead", lambda fn, simplex, **kwargs: nelder_mead(
-        fn, simplex, **{**kwargs, "max_iter": 2}))
+def cap_polish(monkeypatch):
+    """Stop every polish of ``optimize_rate`` after two iterations."""
+    polish = rates.quadratic_polish
+    monkeypatch.setattr(rates, "quadratic_polish", lambda *args, **kwargs: polish(
+        *args, **{**kwargs, "max_iter": 2}))
 
 
 @pytest.fixture(scope="session")

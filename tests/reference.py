@@ -14,18 +14,20 @@ the stored ensembles, which keep only the real rho_{E|0}, against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from pskrates import entropies
+from pskrates import entropies, rates
 from pskrates.linalg import (SUPPORT_CUTOFF, apply_on_support, matrix_log2, matrix_power,
                              partial_trace, support_spectrum)
+from pskrates.optimize import nelder_mead
 from pskrates.rates import _binary_entropy
 from pskrates.rng import normals, philox
-from pskrates.states import DEGENERACY_CUTOFF, CQEnsemble, ProtocolParams
+from pskrates.states import DEGENERACY_CUTOFF, CQEnsemble, ProtocolParams, build_ensemble
 
 
 def random_density(dim: int, seed: int, rank: int | None = None) -> np.ndarray:
@@ -210,6 +212,44 @@ def initial_simplex(x0: Sequence[float], step) -> list[np.ndarray]:
         v[i] += step[i]
         simplex.append(v)
     return simplex
+
+
+def tight_rate(estimator: str, n_states: int, eta: float, n: float,
+               a_max: float | None = None) -> tuple[float, float, float | None]:
+    """A tightly polished optimized rate and its point, as (rate, alpha, a).
+
+    The box is that of ``optimize_rate``: alpha in ``ALPHA_BOUNDS`` and
+    log(a - 1) up to the order cap. A point outside it is scored at its clip
+    onto the box, less its squared distance to it, so a simplex that leaves
+    the box comes back rather than stalling on a flat extension.
+    Nelder-Mead at f_tol=1e-14 starts from each of the three best points of a
+    9 x 9 scan (9 x 1 for AEP), and the best of the three is polished once more
+    from a simplex of side 1e-3. Each run stops after 200 iterations: near
+    a = 1 the rounding of the rate keeps the simplex spread above f_tol.
+    """
+    spec = rates.estimator_spec(estimator)
+    lower, upper = [rates.ALPHA_BOUNDS[0]], [rates.ALPHA_BOUNDS[1]]
+    if spec.takes_order:
+        lower.append(math.log(rates.A_MIN_OFFSET))
+        upper.append(math.log(spec.order_cap(a_max) - 1.0))
+
+    def negated(x):
+        alpha, *log_a = clipped = np.clip(x, lower, upper)
+        sp = rates.SecurityParams(n=n, a=1.0 + math.exp(log_a[0]) if log_a else None)
+        rate = spec.rate(build_ensemble(ProtocolParams(n_states, float(alpha), eta)), sp)
+        return float(np.sum((x - clipped) ** 2)) - rate
+
+    scan_lower = [lower[0], math.log(1e-5)][:len(lower)]
+    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(scan_lower, upper)]
+    scan = [np.array(x) for x in itertools.product(*axes)]
+    starts = sorted(scan, key=negated)[:3]
+    steps = [(ax[1] - ax[0]) / 2.0 for ax in axes]
+    runs = [nelder_mead(negated, initial_simplex(x0, steps), f_tol=1e-14, max_iter=200)
+            for x0 in starts]
+    top = min(runs, key=lambda r: r.fun)
+    final = nelder_mead(negated, initial_simplex(top.x, 1e-3), f_tol=1e-14, max_iter=200)
+    x = np.clip(min((final, top), key=lambda r: r.fun).x, lower, upper)
+    return -negated(x), float(x[0]), 1.0 + math.exp(x[1]) if spec.takes_order else None
 
 
 @dataclass(frozen=True, eq=False)

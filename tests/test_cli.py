@@ -17,7 +17,7 @@ from pskrates.cli import (
 )
 from pskrates.states import ProtocolParams, build_ensemble
 
-from conftest import cap_nelder_mead, score_grid_point_by_point
+from conftest import cap_polish, score_grid_point_by_point
 
 
 def run_cli(capsys, *argv):
@@ -207,14 +207,14 @@ class TestRate:
         ("sweep", "--variable", "n", "--from", "1e4", "--to", "1e6", "--points", "2",
          "--scale", "log", "--quantity", "rate", "--estimator", "AEP"),
     ])
-    def test_nelder_mead_cap_exits_three_without_csv(self, capsys, monkeypatch, argv):
+    def test_polish_cap_exits_three_without_csv(self, capsys, monkeypatch, argv):
         # the search stops short of its tolerance and no entropy warns
-        cap_nelder_mead(monkeypatch)
+        cap_polish(monkeypatch)
         code, out, err = run_cli(capsys, *argv, "--protocol", "bpsk", "--eta", "0.9",
                                  "--optimize")
         assert code == EXIT_NONCONVERGED
         assert out == ""
-        assert f"{argv[argv.index('--estimator') + 1]} rate at n=10000: Nelder-Mead" in err
+        assert f"{argv[argv.index('--estimator') + 1]} rate at n=10000: the polish" in err
         assert "did not converge in 2 iterations, stopped at alpha=" in err
 
     def test_bpsk_order_cap_64(self, capsys):
@@ -484,3 +484,20 @@ def test_twelve_significant_digits(capsys):
     _, rows = parse_csv(out)
     value = rows[0][2]
     assert len(value.replace("0.", "")) >= 12
+
+def test_calls_in_a_row_share_one_parser(capsys, tmp_path):
+    # the parser is built on the first call of the process; a parameter
+    # error between two subcommands leaves nothing behind for the next call
+    probs = ("probs", "--protocol", "bpsk", "--alpha", "1", "--eta", "0.9")
+    entropy = ("entropies", "--protocol", "qpsk", "--alpha", "1", "--eta", "0.5")
+    first = [run_cli(capsys, *probs), run_cli(capsys, *entropy)]
+    assert [code for code, _, _ in first] == [EXIT_OK, EXIT_OK]
+    code, out, err = run_cli(capsys, "probs", "--protocol", "psk", "--alpha", "1",
+                             "--eta", "0.9")
+    assert (code, out) == (EXIT_PARAMS, "") and "invalid choice" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("protocol=bpsk\nalpha=1\n")
+    code, out, _ = run_cli(capsys, "probs", "--config", str(cfg), "--eta", "0.9")
+    assert code == EXIT_OK and parse_csv(out) == parse_csv(first[0][1])
+    assert [run_cli(capsys, *probs), run_cli(capsys, *entropy)] == first
+    assert cli._parser.cache_info().misses == 1

@@ -22,7 +22,8 @@ from pskrates.rates import (
 )
 from pskrates.states import ProtocolParams, build_ensemble, cond_prob_table
 
-from conftest import cap_nelder_mead, philox_rng, random_protocol, score_grid_point_by_point
+from conftest import cap_polish, philox_rng, random_protocol, score_grid_point_by_point
+from reference import tight_rate
 
 
 def leak_from_table(table):
@@ -235,7 +236,7 @@ class TestOptimizeRate:
 
     def test_ranked_grid_still_counts_vertex_warnings(self, monkeypatch):
         # with the array solve ranking the BPSK grid, the stub runs only at
-        # the simplex vertices, and their warnings still mark every n
+        # the polish's points, and their warnings still mark every n
         def stub(ensemble, a):
             warnings.warn("invariant-state optimization did not reach tolerance",
                           entropies.ConvergenceWarning, stacklevel=2)
@@ -250,14 +251,14 @@ class TestOptimizeRate:
                     if issubclass(w.category, entropies.ConvergenceWarning)]
         assert [m.split(":")[0] for m in messages] == ["S rate at n=1e+06", "S rate at n=10000"]
 
-    def test_nelder_mead_cap_warns_after_the_entropy_summary(self, monkeypatch):
+    def test_polish_cap_warns_after_the_entropy_summary(self, monkeypatch):
         def stub(ensemble, a):
             warnings.warn("invariant-state optimization did not reach tolerance",
                           entropies.ConvergenceWarning, stacklevel=2)
             return 1.0 - 0.1 * (ensemble.params.alpha - 1.0) ** 2
 
         monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
-        cap_nelder_mead(monkeypatch)
+        cap_polish(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             [result] = optimize_rate("S", 2, 0.9, [1e6])
@@ -267,7 +268,7 @@ class TestOptimizeRate:
         assert len(messages) == 2
         assert messages[0].startswith("S rate at n=1e+06: ")
         assert "entropy evaluation(s) did not converge" in messages[0]
-        assert messages[1] == (f"S rate at n=1e+06: Nelder-Mead did not converge in 2 "
+        assert messages[1] == (f"S rate at n=1e+06: the polish did not converge in 2 "
                                f"iterations, stopped at alpha={result.alpha_opt:.6g}, "
                                f"a={result.a_opt:.6g}")
 
@@ -284,8 +285,8 @@ class TestOptimizeRate:
 
     def test_bpsk_s_grid_is_one_array_solve(self, monkeypatch):
         # a guard on the batched grid that needs no timing: the scalar
-        # search runs only for the simplex vertices and Nelder-Mead (671
-        # times when it also scored the grid)
+        # search runs only for the polish (671 times when it also scored
+        # the grid)
         batched, scalar = self.count_solves(
             monkeypatch, 2, ("_two_state_log_traces", "_two_state_log_trace"))
         assert batched == 1
@@ -355,7 +356,7 @@ class TestOptimizeRate:
     @pytest.mark.parametrize("n_states", [2, 4])
     def test_estimators_of_one_call_share_each_amplitude(self, n_states, monkeypatch):
         # AEP and B read one set of continuity terms per amplitude, on the
-        # grid and in every Nelder-Mead step
+        # grid and in every polish step
         counts = collections.Counter()
         build = entropies.ContinuityTerms.from_ensemble
         monkeypatch.setattr(entropies.ContinuityTerms, "from_ensemble", classmethod(
@@ -364,3 +365,55 @@ class TestOptimizeRate:
         grid = np.linspace(*rates.ALPHA_BOUNDS, rates.GRID_POINTS).tolist()
         assert set(grid) <= set(counts)
         assert set(counts.values()) == {1}
+
+
+class TestPolish:
+    """The certified quadratic-model polish of ``optimize_rate``."""
+
+    NS = [316.23, 1e4, 1e8]
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_evaluation_counts(self, n_states):
+        # a guard that needs no timing: Nelder-Mead took 48-66 (S, B) and 24 (AEP)
+        for r in optimize_rate("S,AEP,B", n_states, 0.9, self.NS):
+            assert r.converged
+            assert 0 < r.evaluations <= (16 if r.estimator == "AEP" else 40), r
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_restart_from_a_perturbed_start_agrees(self, n_states, monkeypatch):
+        polish, pairs = rates.quadratic_polish, []
+
+        def restarted(fn, x0, lower, upper, scale, noise, model):
+            first = polish(fn, x0, lower, upper, scale, noise, model)
+            start = np.clip(first.x + scale * [0.3, -0.2][:len(scale)], lower, upper)
+            pairs.append((first, polish(fn, start, lower, upper, scale, noise)))
+            return first
+
+        monkeypatch.setattr(rates, "quadratic_polish", restarted)
+        optimize_rate("S,AEP,B", n_states, 0.9, self.NS)
+        assert len(pairs) == 9
+        for first, again in pairs:
+            assert again.converged
+            assert abs(again.fun - first.fun) <= 1e-12, (first, again)
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    @pytest.mark.parametrize("estimator", ["S", "AEP", "B"])
+    def test_rate_reaches_a_tight_reference(self, estimator, n_states):
+        ns = [562.0, 1e4, 1e8]
+        for n, result in zip(ns, optimize_rate(estimator, n_states, 0.9, ns)):
+            reference, alpha, a = tight_rate(estimator, n_states, 0.9, n)
+            assert result.rate >= reference - 1e-11, (n, result, reference, alpha, a)
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_flat_landscape_converges_without_warning(self, n_states):
+        # at eta = 0 every amplitude gives the same rate up to rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = optimize_rate("S,AEP,B", n_states, 0.0, self.NS)
+        assert all(r.converged for r in results)
+
+    def test_order_cap_is_reported_as_the_active_bound(self):
+        [capped, interior] = optimize_rate("S", 2, 0.9, [316.23, 1e4], a_max=64.0)
+        assert capped.converged and capped.at_bound == "a_max"
+        assert capped.a_opt == pytest.approx(64.0)
+        assert interior.converged and interior.at_bound is None
