@@ -328,7 +328,8 @@ def build_parser() -> _Parser:
                         "a >= 1/2 and is nan below")
     p.add_argument("--path", choices=("numeric", "analytic", "both"),
                    default="numeric",
-                   help="evaluation path; analytic is bpsk-only closed forms")
+                   help="evaluation path; analytic is bpsk-only closed forms, which exit 1 "
+                        "where they overflow: 2 alpha^2 (1-eta) > ~354, or a far from 1")
 
     p = sub.add_parser("rate", help="key-rate bound in bits per channel use")
     _add_protocol_flags(p, with_alpha=False)

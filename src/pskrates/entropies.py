@@ -15,6 +15,7 @@ bound).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 import weakref
@@ -49,22 +50,18 @@ def _check_order(a: float) -> float:
     return a
 
 
-def _tr_power(matrix: np.ndarray, a: float) -> float:
-    """tr(M^a) for PSD Hermitian M on its support.
+def _power_support(a: float):
+    """The eigenvalues tr(M^a) runs over: ``linalg.on_support`` below order 1, where x^a would
+    amplify rounding (1e-16 adds 1e-8 at a = 1/2), and cutoff 0 above it, where x^a <= x and a
+    cut genuine weight would lift a value near a = 1 by up to 1.44e-12 / (a - 1) bits."""
+    return linalg.on_support if a < 1.0 else functools.partial(linalg.on_support, cutoff=0.0)
 
-    The one spectral kernel of the numeric path. Below order 1 rounding
-    noise would be amplified (1e-16 eigenvalues contribute 1e-8 at
-    a = 1/2), so eigenvalues at or below the relative support cutoff are
-    dropped. Above order 1 an eigenvalue x adds x^a <= x, so noise cannot
-    grow and only non-positive eigenvalues are dropped: a cut genuine
-    weight would lift a value near a = 1 by up to 1.44e-12 / (a - 1) bits.
-    The value alone needs only ``eigvalsh``, which is cheaper than ``eigh``.
-    """
-    cutoff = linalg.SUPPORT_CUTOFF if a < 1.0 else 0.0
+
+def _tr_power(matrix: np.ndarray, a: float, support) -> float:
+    """tr(M^a) of PSD Hermitian M over the eigenvalues ``support`` keeps, from ``eigvalsh``."""
     with np.errstate(over="ignore"):
         lam = np.linalg.eigvalsh(matrix)
-        lam = lam[lam > cutoff * max(float(lam[-1]), 0.0)]
-        return float((lam**a).sum())
+        return float((lam[support(lam)] ** a).sum())
 
 
 def petz_down_cq(ensemble: CQEnsemble, a: float) -> float:
@@ -74,10 +71,9 @@ def petz_down_cq(ensemble: CQEnsemble, a: float) -> float:
     restricted to the support.
     """
     a = _check_order(a)
-    rho0 = linalg.support_spectrum(ensemble.rho0)
     m = ensemble.avg_diag  # rho_E is diagonal: its power is taken entry by entry
-    d = np.diag(linalg.apply_on_support(rho0, lambda lam: lam**a))
-    support = m > linalg.SUPPORT_CUTOFF * m.max()
+    d = np.diag(matrix_power(ensemble.rho0, a))
+    support = linalg.on_support(m)
     with np.errstate(over="ignore", invalid="ignore"):
         t = float((d * np.power(m, 1.0 - a, out=np.zeros_like(m), where=support)).sum().real)
     if math.isfinite(t):
@@ -99,7 +95,7 @@ def petz_up_cq(ensemble: CQEnsemble, a: float) -> float:
     """
     a = _check_order(a)
     total = ensemble.n_states * np.diag(matrix_power(ensemble.rho0, a)).real
-    t = float((total[total > linalg.SUPPORT_CUTOFF * total.max()] ** (1.0 / a)).sum())
+    t = float((total[linalg.on_support(total)] ** (1.0 / a)).sum())
     return -a / (1.0 - a) * (math.log2(ensemble.n_states) - math.log2(t))
 
 
@@ -110,11 +106,11 @@ def _invariant_objective(rho0: np.ndarray, a: float):
     exactly zero weights lie off the support: a relative cut would drop
     small weights that rho0 still occupies.
     """
-    c = (1.0 - a) / (2.0 * a)
+    c, support = (1.0 - a) / (2.0 * a), _power_support(a)
 
     def fn(q: np.ndarray) -> float:
         d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
-        return _tr_power(d[:, None] * rho0 * d[None, :], a)
+        return _tr_power(d[:, None] * rho0 * d[None, :], a, support)
 
     return fn
 
@@ -363,9 +359,9 @@ class _ScaledPower(NamedTuple):
 def _scaled_power(m: np.ndarray, a: float, n: int) -> _ScaledPower:
     """Scaled spectrum of M and the rounding bounds of its power (n: dimension).
 
-    Eigenvalues at or below ``SUPPORT_CUTOFF`` times the largest count as
-    zero. The entry bound is L n^2 u with L the largest divided difference
-    of x^a on the kept spectrum (see the comment above ``_LOGODDS_CLIP``).
+    Eigenvalues at or below ``SUPPORT_CUTOFF`` times the largest count as zero: x is scaled to a
+    top of 1, so the cut needs no ``linalg.on_support`` and its max. The entry bound is L n^2 u
+    with L the largest divided difference of x^a on the kept spectrum (see ``_LOGODDS_CLIP``).
     """
     lam, v = np.linalg.eigh(m)
     x = lam / lam[-1]
@@ -732,8 +728,7 @@ class ContinuityTerms:
         p = l_pos[:, None] * w[pos_l][:, pos_m]
         x = np.log2(l_pos / n)[:, None] - np.log2(m_pos)
         d = float((p * x).sum())
-        sup_l = lam > linalg.SUPPORT_CUTOFF * max(float(lam[-1]), 0.0)
-        sup_m = m > linalg.SUPPORT_CUTOFF * float(m.max())
+        sup_l, sup_m = linalg.on_support(lam), linalg.on_support(m)
         support = (lam[sup_l], w[sup_l][:, sup_m], m[sup_m])
         for arr in support:
             arr.setflags(write=False)
@@ -881,9 +876,6 @@ class BpskClosedFormInputs:
         phi = math.atanh(min(kappa, 1.0 - 1e-15))
         return cls(kappa=kappa, r=r, g=g, theta=theta, phi=phi)
 
-    def delta(self, a: float) -> float:
-        return math.sqrt(self.r**2 + math.sinh(self.phi / a) ** 2)
-
 
 class BpskClosedForms(NamedTuple):
     petz_down: float
@@ -895,35 +887,44 @@ def bpsk_closed_forms(params: ProtocolParams, a: float) -> BpskClosedForms:
     """Analytic Petz, optimized-Petz and sandwiched entropies for N=2.
 
     Hyperbolic expressions in theta and phi; each reduces to 1 bit at
-    eta -> 0 and matches the numeric ensemble path to ~1e-12.
+    eta -> 0 and matches the numeric ensemble path to ~1e-12. Where a term overflows
+    (2 alpha^2 (1 - eta) above ~354, or a theta, (a - 1) phi or phi / a above ~709) a
+    ValueError names the point.
     """
     a = _check_order(a)
-    s = BpskClosedFormInputs.from_params(params)
-    sech_theta = 1.0 / math.cosh(s.theta)
-    sech_phi = 1.0 / math.cosh(s.phi)
+    try:
+        s = BpskClosedFormInputs.from_params(params)
+        sech_theta = 1.0 / math.cosh(s.theta)
+        sech_phi = 1.0 / math.cosh(s.phi)
 
-    # cosh(a theta) cosh((1-a) phi) + sinh(a theta) sinh((1-a) phi) / g:
-    # rearranged through cosh(x - y) for a > 1, where the printed form
-    # subtracts nearly equal large terms.
-    x, y = a * s.theta, (a - 1.0) * s.phi
-    if a > 1.0:
-        bracket = math.cosh(x - y) + (1.0 - 1.0 / s.g) * math.sinh(x) * math.sinh(y)
-    else:
-        bracket = math.cosh(x) * math.cosh(-y) + math.sinh(x) * math.sinh(-y) / s.g
-    petz_down = 1.0 + (math.log2(sech_theta) * a + math.log2(sech_phi) * (1.0 - a)
-                       + math.log2(bracket)) / (1.0 - a)
+        # cosh(a theta) cosh((1-a) phi) + sinh(a theta) sinh((1-a) phi) / g:
+        # rearranged through cosh(x - y) for a > 1, where the printed form
+        # subtracts nearly equal large terms.
+        x, y = a * s.theta, (a - 1.0) * s.phi
+        if a > 1.0:
+            bracket = math.cosh(x - y) + (1.0 - 1.0 / s.g) * math.sinh(x) * math.sinh(y)
+        else:
+            bracket = math.cosh(x) * math.cosh(-y) + math.sinh(x) * math.sinh(-y) / s.g
+        petz_down = 1.0 + (math.log2(sech_theta) * a + math.log2(sech_phi) * (1.0 - a)
+                           + math.log2(bracket)) / (1.0 - a)
 
-    plus = math.cosh(x) + math.sinh(x) / s.g
-    minus = math.exp(-x) + (1.0 - 1.0 / s.g) * math.sinh(x)  # cosh - sinh/g, stable
-    petz_up = a / (1.0 - a) * (1.0 / a - 2.0 + math.log2(sech_theta)
-                               + math.log2(plus ** (1.0 / a) + minus ** (1.0 / a)))
+        plus = math.cosh(x) + math.sinh(x) / s.g
+        minus = math.exp(-x) + (1.0 - 1.0 / s.g) * math.sinh(x)  # cosh - sinh/g, stable
+        petz_up = a / (1.0 - a) * (1.0 / a - 2.0 + math.log2(sech_theta)
+                                   + math.log2(plus ** (1.0 / a) + minus ** (1.0 / a)))
 
-    delta = s.delta(a)
-    big = math.cosh(s.phi / a) + delta
-    small = (1.0 - s.r**2) / big  # cosh - delta without cancellation
-    sand_down = (-2.0 * a / (1.0 - a)
-                 + (a + math.log2(sech_phi) + math.log2(small**a + big**a)) / (1.0 - a))
-    return BpskClosedForms(petz_down, petz_up, sand_down)
+        delta = math.sqrt(s.r**2 + math.sinh(s.phi / a) ** 2)
+        big = math.cosh(s.phi / a) + delta
+        small = (1.0 - s.r**2) / big  # cosh - delta without cancellation
+        sand_down = (-2.0 * a / (1.0 - a)
+                     + (a + math.log2(sech_phi) + math.log2(small**a + big**a)) / (1.0 - a))
+        forms = BpskClosedForms(petz_down, petz_up, sand_down)
+        if all(map(math.isfinite, forms)):
+            return forms
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"closed forms overflow at alpha={params.alpha:.12g}, eta={params.eta:.12g}, "
+                     f"a={a:.12g}; use the numeric path")
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +983,7 @@ def sandwiched_down_general(rho, dims: tuple[int, int], a: float) -> float:
     if a > 1.0:
         _check_support(rho, sigma)
     x = matrix_power(sigma, (1.0 - a) / (2.0 * a))
-    return math.log2(_tr_power(x @ rho @ x, a)) / (1.0 - a)
+    return math.log2(_tr_power(x @ rho @ x, a, _power_support(a))) / (1.0 - a)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 
 from .rng import normals, philox
 
-#: Relative eigenvalue threshold below which a state is treated as rank
-#: deficient by matrix_power / matrix_log2.
+#: Relative threshold at or below which a value lies off the support (``on_support``).
 SUPPORT_CUTOFF = 1e-12
 
 #: Largest tolerated Hermiticity violation, relative to the matrix scale.
@@ -59,18 +58,22 @@ def eig(matrix) -> Spectrum:
     return Spectrum(w, v)
 
 
+def on_support(values: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """The support cut: values above ``cutoff`` times the largest, or above 0 if none is > 0."""
+    return values > cutoff * values.max(initial=0.0)
+
+
 def support_spectrum(matrix) -> Spectrum:
     """Spectrum of a PSD Hermitian matrix with its support marked.
 
-    Eigenvalues at or below ``SUPPORT_CUTOFF * max(eigenvalue)`` are set to
-    exactly zero; the positive ones are the support. Rejects matrices with a
-    negative eigenvalue beyond ``HERMITICITY_TOL``.
+    Eigenvalues off ``on_support`` are set to exactly zero; the positive ones
+    are the support. Rejects matrices with a negative eigenvalue beyond
+    ``HERMITICITY_TOL``.
     """
     w, v = eig(matrix)
-    top = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -HERMITICITY_TOL * max(1.0, top):
+    if w.size and w[0] < -HERMITICITY_TOL * max(1.0, w[-1]):
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    w[w <= SUPPORT_CUTOFF * max(top, 0.0)] = 0.0
+    w[~on_support(w)] = 0.0
     return Spectrum(w, v)
 
 
@@ -87,8 +90,8 @@ def apply_on_support(spectrum: Spectrum, fn) -> np.ndarray:
 def matrix_power(matrix, p: float) -> np.ndarray:
     """Fractional power of a PSD Hermitian matrix on its support.
 
-    Eigenvalues at or below ``SUPPORT_CUTOFF * max(eigenvalue)`` map to zero,
-    so negative ``p`` yields the support-restricted inverse power.
+    Eigenvalues off ``on_support`` map to zero, so negative ``p`` yields the
+    support-restricted inverse power.
     """
     if not np.isfinite(p):
         raise ValueError("power must be finite")
@@ -98,9 +101,9 @@ def matrix_power(matrix, p: float) -> np.ndarray:
 def matrix_log2(matrix) -> np.ndarray:
     """Base-2 logarithm of a PSD Hermitian matrix, zero off the support.
 
-    Eigenvalues at or below ``SUPPORT_CUTOFF * max(eigenvalue)`` count as
-    off the support. The off-support convention is safe because the result
-    is only ever used inside traces against states living on that support.
+    Eigenvalues off ``on_support`` count as off the support. The off-support
+    convention is safe because the result is only ever used inside traces
+    against states living on that support.
     """
     return apply_on_support(support_spectrum(matrix), np.log2)
 

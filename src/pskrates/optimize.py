@@ -67,10 +67,12 @@ def nelder_mead(
     return Result(pts[i_best], vals[i_best], False, iterations)
 
 
-#: The polish's certified gain in units of fn (bits for a rate), and its smallest stencil
-#: half-width in units of ``scale``, where rounding is still far below the model's curvature.
+#: The polish's certified gain in units of fn (bits for a rate), its smallest stencil
+#: half-width in units of ``scale``, where rounding is still far below the model's curvature,
+#: and its iteration cap.
 GAIN_TOL = 1e-12
 STENCIL_FLOOR = 1e-4
+MAX_ITER = 20
 
 
 def _stencil(x, step, lower, upper, cross):
@@ -92,7 +94,7 @@ def _quadratic(offsets, values):
     return coef[1:1 + offsets.shape[1]], hess + hess.T
 
 
-def quadratic_polish(fn, x0, lower, upper, scale, noise, model=None, max_iter=20):
+def quadratic_polish(fn, x0, lower, upper, scale, noise, model):
     """Maximize ``fn`` in the box [lower, upper] from x0, with lengths in units of ``scale``.
 
     Each iteration fits a least-squares quadratic to ``model`` (points, values) at first, then
@@ -114,10 +116,8 @@ def quadratic_polish(fn, x0, lower, upper, scale, noise, model=None, max_iter=20
         return Result(np.array(best), seen[best], converged, iterations, len(seen))
 
     x, h, radius = np.array(x0, dtype=float), 1.0, 1.0
-    fx = f(x)
-    points, values = model or (_stencil(x, scale, lower, upper, False), None)
-    values = np.array([f(p) for p in points]) if values is None else values
-    for iteration in range(1, max_iter + 1):
+    fx, (points, values) = f(x), model
+    for iteration in range(1, MAX_ITER + 1):
         g, hess = _quadratic((points - x) / (h * scale), values - fx)
         g, hess, off = g / h, hess / h**2, points != x
         flat = [np.ptp(values[~np.delete(off, i, axis=1).any(axis=1)]) <= noise(x)
@@ -141,4 +141,4 @@ def quadratic_polish(fn, x0, lower, upper, scale, noise, model=None, max_iter=20
         h = min(h, max(move / 10.0, STENCIL_FLOOR))
         points = _stencil(x, h * scale, lower, upper, x.size > 1 and free.all())
         values = np.array([f(p) for p in points])
-    return result(False, max_iter)
+    return result(False, MAX_ITER)

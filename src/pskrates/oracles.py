@@ -49,19 +49,15 @@ def erf_oracle(x: float) -> float:
             total += term
         return sign * (2.0 / _SQRT_PI) * math.exp(-x * x) * total
     # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
+    # for x > 2, f starts at x and c and each denominator x + coeff d stay above x: no zero guard
+    f = c = x
     d = 0.0
     k = 0
     while k < 400:
         k += 1
         coeff = k / 2.0
-        d = x + coeff * d
-        d = tiny if d == 0.0 else d
+        d = 1.0 / (x + coeff * d)
         c = x + coeff / c
-        c = tiny if c == 0.0 else c
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-18:

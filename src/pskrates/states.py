@@ -125,7 +125,9 @@ def build_ensemble(params: ProtocolParams) -> CQEnsemble:
         # bit for bit; sqrt(m) sqrt(m)^T rounds its diagonal
         gram = np.sqrt(m[:, None] * m)
     else:
-        g2 = gamma * gamma
+        # every exp(-g2) factor is exactly 0.0 beyond g2 ~ 745, so the cap only keeps
+        # cos(g2 + ...) finite where gamma^2 overflows: m_s reaches its limit 1/4
+        g2 = min(gamma * gamma, 1e3)
         s = np.arange(4)
         norms = 1.0 + np.exp(-2.0 * g2) * np.cos(np.pi * s) + 2.0 * np.exp(-g2) * np.cos(g2 + np.pi * s / 2.0)
         m = np.where(norms < DEGENERACY_CUTOFF, 0.0, norms) / 4.0

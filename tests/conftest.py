@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pskrates.entropies as entropies
-import pskrates.rates as rates
+import pskrates.optimize as optimize
 from pskrates.states import ProtocolParams, build_ensemble
 
 
@@ -31,9 +31,7 @@ def score_grid_point_by_point(monkeypatch):
 
 def cap_polish(monkeypatch):
     """Stop every polish of ``optimize_rate`` after two iterations."""
-    polish = rates.quadratic_polish
-    monkeypatch.setattr(rates, "quadratic_polish", lambda *args, **kwargs: polish(
-        *args, **{**kwargs, "max_iter": 2}))
+    monkeypatch.setattr(optimize, "MAX_ITER", 2)
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,29 @@ def test_traced_names_exist():
     assert missing == []
 
 
+def test_support_cutoff_has_one_home():
+    # the relative support cut is linalg.on_support; outside linalg.py only the
+    # Newton kernels, whose spectra are already scaled to a top of 1, compare with the constant
+    allowed = {"_scaled_power", "_scaled_powers"}
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = getattr(node, "name", "<lambda>")
+        names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+        if ((isinstance(node, ast.Name) and node.id == "SUPPORT_CUTOFF")
+                or (isinstance(node, ast.Attribute) and node.attr == "SUPPORT_CUTOFF")
+                or "SUPPORT_CUTOFF" in names) and scope not in allowed:
+            found.append(f"{path.name}:{node.lineno} in {scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted((ROOT / "src" / "pskrates").glob("*.py")):
+        if path.name != "linalg.py":
+            visit(ast.parse(path.read_text(), str(path)), path, "<module>")
+    assert found == []
+
+
 def test_numpy_is_the_only_numeric_dependency():
     # scipy and mpmath may be installed, but neither the package nor its
     # tests may rely on them

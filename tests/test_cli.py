@@ -130,6 +130,35 @@ class TestEntropies:
         assert code == EXIT_PARAMS
         assert "bpsk" in err
 
+    @pytest.mark.parametrize("argv, point", [
+        (("entropies", "--alpha", "19", "--eta", "0.5", "--order", "1.5", "--path", "both"),
+         "alpha=19, eta=0.5, a=1.5"),  # kappa^-2 overflows
+        (("entropies", "--alpha", "3", "--eta", "0.5", "--order", "200", "--path", "both"),
+         "alpha=3, eta=0.5, a=200"),  # cosh(a theta) overflows
+        (("entropies", "--alpha", "0", "--eta", "0", "--order", "1e-6", "--path", "analytic"),
+         "alpha=0, eta=0, a=1e-06"),  # sinh(phi / a) overflows
+        (("sweep", "--variable", "alpha", "--from", "0.1", "--to", "40", "--points", "5",
+          "--quantity", "entropies", "--eta", "0.5", "--path", "both"),
+         "alpha=20.05, eta=0.5, a=1.2"),  # the first point past kappa^-2's range
+    ])
+    def test_closed_forms_out_of_range_name_the_point(self, capsys, argv, point):
+        code, out, err = run_cli(capsys, *argv, "--protocol", "bpsk")
+        assert code == EXIT_PARAMS and out == ""
+        assert err == f"error: closed forms overflow at {point}; use the numeric path\n"
+
+    def test_qpsk_amplitude_whose_square_overflows_reaches_its_limit(self, capsys):
+        # gamma^2 = 5e319 overflows; every weight of rho_E is then 1/4 and rho_E|0 is pure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
+                                     "--alpha", "1e160", "--eta", "0.5", "--order", "1.5")
+        assert code == EXIT_OK and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["vn"]) == 0.0
+        for column in ("petz_down", "petz_up", "sand_down", "sand_up"):
+            assert abs(float(row[column])) <= 1e-12, column
+
 
 class TestRate:
     def test_single_point(self, capsys):

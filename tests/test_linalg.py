@@ -7,6 +7,7 @@ from pskrates.linalg import (
     eig,
     matrix_log2,
     matrix_power,
+    on_support,
     partial_trace,
     random_pure_tripartite,
 )
@@ -18,6 +19,27 @@ from reference import random_density
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T
+
+
+class TestOnSupport:
+    def test_relative_cut_of_an_ascending_spectrum(self):
+        lam = np.array([-1e-17, 0.0, 5e-13, 1.0000001e-12, 0.5, 1.0])
+        assert on_support(lam).tolist() == [False, False, False, True, True, True]
+        assert on_support(2.0 * lam).tolist() == on_support(lam).tolist()
+
+    def test_zero_weights_lie_off_the_support(self):
+        assert on_support(np.array([0.25, 0.0, 0.75, 0.0])).tolist() == [True, False, True, False]
+
+    def test_non_positive_values_have_no_support(self):
+        assert not on_support(np.array([-2.0, -1e-30, 0.0])).any()
+        assert not on_support(np.zeros(3)).any()
+
+    def test_empty_input(self):
+        assert on_support(np.array([])).shape == (0,)
+
+    def test_cutoff_zero_keeps_exactly_the_positive_values(self):
+        lam = np.array([-1e-17, 0.0, 1e-300, 1e-20, 1.0])
+        assert on_support(lam, 0.0).tolist() == [False, False, True, True, True]
 
 
 class TestEig:

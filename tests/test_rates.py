@@ -8,6 +8,7 @@ import pytest
 import pskrates.entropies as entropies
 import pskrates.rates as rates
 from pskrates.entropies import von_neumann_cq
+from pskrates.optimize import _stencil
 from pskrates.oracles import erf_oracle
 from pskrates.rates import (
     RateResult,
@@ -386,7 +387,9 @@ class TestPolish:
         def restarted(fn, x0, lower, upper, scale, noise, model):
             first = polish(fn, x0, lower, upper, scale, noise, model)
             start = np.clip(first.x + scale * [0.3, -0.2][:len(scale)], lower, upper)
-            pairs.append((first, polish(fn, start, lower, upper, scale, noise)))
+            stencil = _stencil(start, scale, lower, upper, False)  # a model one grid step wide
+            model = stencil, np.array([fn(p) for p in stencil])
+            pairs.append((first, polish(fn, start, lower, upper, scale, noise, model)))
             return first
 
         monkeypatch.setattr(rates, "quadratic_polish", restarted)
