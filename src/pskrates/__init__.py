@@ -7,7 +7,6 @@ and optimizes those over the modulation amplitude and the Rényi order.
 """
 
 from .entropies import (
-    BpskClosedFormInputs,
     ContinuityTerms,
     ConvergenceWarning,
     EntropyReport,

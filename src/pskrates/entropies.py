@@ -99,32 +99,20 @@ def petz_up_cq(ensemble: CQEnsemble, a: float) -> float:
     return -a / (1.0 - a) * (math.log2(ensemble.n_states) - math.log2(t))
 
 
-def _invariant_objective(rho0: np.ndarray, a: float):
-    """Trace functional q -> tr[(D rho0 D)^a], D = diag(q^((1-a)/2a)).
-
-    q is a diagonal state, so its power is taken entry by entry and only
-    exactly zero weights lie off the support: a relative cut would drop
-    small weights that rho0 still occupies.
-    """
-    c, support = (1.0 - a) / (2.0 * a), _power_support(a)
-
-    def fn(q: np.ndarray) -> float:
-        d = np.where(q > 0.0, q, 1.0) ** c * (q > 0.0)
-        return _tr_power(d[:, None] * rho0 * d[None, :], a, support)
-
-    return fn
-
-
 def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
     """Sandwiched Rényi conditional entropy, reduced form.
 
     log2 N + log2 tr[(rho_E^c rho_{E|0} rho_E^c)^a] / (1 - a) with
-    c = (1 - a) / (2a): the invariant objective at q = diag(rho_E), as
-    rho_E is diagonal by construction. Cutting its small weights would lift
-    the value above log2 N.
+    c = (1 - a) / (2a): the trace T(q) of the invariant solve below at
+    q = diag(rho_E), as rho_E is diagonal by construction.
     """
     a = _check_order(a)
-    t = _invariant_objective(ensemble.rho0, a)(ensemble.avg_diag)
+    # q is a diagonal state, so its power is taken entry by entry and only exactly zero
+    # weights lie off the support: a relative cut would drop small weights that rho0 still
+    # occupies and lift the value above log2 N
+    q = ensemble.avg_diag
+    d = np.where(q > 0.0, q, 1.0) ** ((1.0 - a) / (2.0 * a)) * (q > 0.0)
+    t = _tr_power(d[:, None] * ensemble.rho0 * d[None, :], a, _power_support(a))
     return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
 
 
@@ -822,17 +810,33 @@ def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
     """Evaluate every functional once.
 
     K and B are NaN outside (1, 2), and the optimized sandwiched entropy is
-    NaN below a = 1/2.
+    NaN below a = 1/2. Every functional is finite at a > 0, so a Rényi kernel
+    that fails (a numpy overflow or invalid value included) or gives +-inf has
+    left its range of orders: a ValueError then names the functional and the point.
     """
+    a, p = _check_order(a), ensemble.params
+
+    def value(name, fn):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                x = fn(ensemble, a)
+            if not math.isinf(x):
+                return x
+            why = f"evaluates to {x}"
+        except (ArithmeticError, ValueError) as exc:
+            why = f"fails ({exc})"
+        raise ValueError(f"{name} {why} at alpha={p.alpha:.12g}, eta={p.eta:.12g}, a={a:.12g}, "
+                         "where it is finite: the order is out of the kernels' range")
+
     terms = continuity_terms(ensemble)
     k, b = math.nan, math.nan
     if 1.0 < a <= CONTINUITY_A_MAX:
         k, b = terms.continuity(a)
     return EntropyReport(
-        petz_down=petz_down_cq(ensemble, a),
-        petz_up=petz_up_cq(ensemble, a),
-        sand_down=sandwiched_down_cq(ensemble, a),
-        sand_up=sandwiched_up_invariant(ensemble, a) if a >= 0.5 else math.nan,
+        petz_down=value("petz_down", petz_down_cq),
+        petz_up=value("petz_up", petz_up_cq),
+        sand_down=value("sand_down", sandwiched_down_cq),
+        sand_up=value("sand_up", sandwiched_up_invariant) if a >= 0.5 else math.nan,
         von_neumann=terms.von_neumann,
         variance=terms.variance,
         coeff_k=k,
@@ -845,38 +849,6 @@ def entropy_report(ensemble: CQEnsemble, a: float) -> EntropyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BpskClosedFormInputs:
-    """Scalar inputs shared by the two-state closed forms.
-
-    kappa = exp(2 alpha^2 (eta - 1)) is the overlap of Eve's two states,
-    r = erf(sqrt(2 eta) alpha) the contrast ``ProtocolParams.contrast``,
-    g = sqrt(1 + (kappa^-2 - 1) r^2), theta = artanh(kappa g) and
-    phi = artanh(kappa). Arguments of artanh are clamped to 1 - 1e-15
-    against rounding; eta beyond CLOSED_FORM_ETA_MAX is rejected since
-    kappa -> 1 makes phi diverge.
-    """
-
-    kappa: float
-    r: float
-    g: float
-    theta: float
-    phi: float
-
-    @classmethod
-    def from_params(cls, params: ProtocolParams) -> "BpskClosedFormInputs":
-        if params.n_states != 2:
-            raise ValueError("closed forms exist for the two-state protocol only")
-        if params.eta > CLOSED_FORM_ETA_MAX:
-            raise ValueError("closed forms diverge at eta = 1; use the numeric path")
-        kappa = math.exp(2.0 * params.alpha**2 * (params.eta - 1.0))
-        r = params.contrast
-        g = math.sqrt(1.0 + (kappa**-2 - 1.0) * r * r)
-        theta = math.atanh(min(kappa * g, 1.0 - 1e-15))
-        phi = math.atanh(min(kappa, 1.0 - 1e-15))
-        return cls(kappa=kappa, r=r, g=g, theta=theta, phi=phi)
-
-
 class BpskClosedForms(NamedTuple):
     petz_down: float
     petz_up: float
@@ -886,36 +858,47 @@ class BpskClosedForms(NamedTuple):
 def bpsk_closed_forms(params: ProtocolParams, a: float) -> BpskClosedForms:
     """Analytic Petz, optimized-Petz and sandwiched entropies for N=2.
 
-    Hyperbolic expressions in theta and phi; each reduces to 1 bit at
-    eta -> 0 and matches the numeric ensemble path to ~1e-12. Where a term overflows
-    (2 alpha^2 (1 - eta) above ~354, or a theta, (a - 1) phi or phi / a above ~709) a
-    ValueError names the point.
+    Hyperbolic expressions in theta = artanh(kappa g) and phi = artanh(kappa), with
+    kappa = exp(2 alpha^2 (eta - 1)) the overlap of Eve's two states, r the contrast and
+    g = sqrt(1 + (kappa^-2 - 1) r^2); artanh's arguments are clamped to 1 - 1e-15 against
+    rounding. Each reduces to 1 bit at eta -> 0 and matches the numeric ensemble path to
+    ~1e-12. eta beyond CLOSED_FORM_ETA_MAX is refused, as phi diverges at kappa -> 1; where a
+    term overflows (2 alpha^2 (1 - eta) above ~354, or a theta, (a - 1) phi or phi / a above
+    ~709) a ValueError names the point.
     """
     a = _check_order(a)
+    if params.n_states != 2:
+        raise ValueError("closed forms exist for the two-state protocol only")
+    if params.eta > CLOSED_FORM_ETA_MAX:
+        raise ValueError("closed forms diverge at eta = 1; use the numeric path")
     try:
-        s = BpskClosedFormInputs.from_params(params)
-        sech_theta = 1.0 / math.cosh(s.theta)
-        sech_phi = 1.0 / math.cosh(s.phi)
+        kappa = math.exp(2.0 * params.alpha**2 * (params.eta - 1.0))
+        r = params.contrast
+        g = math.sqrt(1.0 + (kappa**-2 - 1.0) * r * r)
+        theta = math.atanh(min(kappa * g, 1.0 - 1e-15))
+        phi = math.atanh(min(kappa, 1.0 - 1e-15))
+        sech_theta = 1.0 / math.cosh(theta)
+        sech_phi = 1.0 / math.cosh(phi)
 
         # cosh(a theta) cosh((1-a) phi) + sinh(a theta) sinh((1-a) phi) / g:
         # rearranged through cosh(x - y) for a > 1, where the printed form
         # subtracts nearly equal large terms.
-        x, y = a * s.theta, (a - 1.0) * s.phi
+        x, y = a * theta, (a - 1.0) * phi
         if a > 1.0:
-            bracket = math.cosh(x - y) + (1.0 - 1.0 / s.g) * math.sinh(x) * math.sinh(y)
+            bracket = math.cosh(x - y) + (1.0 - 1.0 / g) * math.sinh(x) * math.sinh(y)
         else:
-            bracket = math.cosh(x) * math.cosh(-y) + math.sinh(x) * math.sinh(-y) / s.g
+            bracket = math.cosh(x) * math.cosh(-y) + math.sinh(x) * math.sinh(-y) / g
         petz_down = 1.0 + (math.log2(sech_theta) * a + math.log2(sech_phi) * (1.0 - a)
                            + math.log2(bracket)) / (1.0 - a)
 
-        plus = math.cosh(x) + math.sinh(x) / s.g
-        minus = math.exp(-x) + (1.0 - 1.0 / s.g) * math.sinh(x)  # cosh - sinh/g, stable
+        plus = math.cosh(x) + math.sinh(x) / g
+        minus = math.exp(-x) + (1.0 - 1.0 / g) * math.sinh(x)  # cosh - sinh/g, stable
         petz_up = a / (1.0 - a) * (1.0 / a - 2.0 + math.log2(sech_theta)
                                    + math.log2(plus ** (1.0 / a) + minus ** (1.0 / a)))
 
-        delta = math.sqrt(s.r**2 + math.sinh(s.phi / a) ** 2)
-        big = math.cosh(s.phi / a) + delta
-        small = (1.0 - s.r**2) / big  # cosh - delta without cancellation
+        delta = math.sqrt(r**2 + math.sinh(phi / a) ** 2)
+        big = math.cosh(phi / a) + delta
+        small = (1.0 - r**2) / big  # cosh - delta without cancellation
         sand_down = (-2.0 * a / (1.0 - a)
                      + (a + math.log2(sech_phi) + math.log2(small**a + big**a)) / (1.0 - a))
         forms = BpskClosedForms(petz_down, petz_up, sand_down)

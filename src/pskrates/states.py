@@ -13,6 +13,9 @@ is the real r^d(s, s') sqrt(m_s m_s'): p(0|1) = p(0|N-1) cancels the odd
 phases and leaves P_+ +- P_- for N=2, and (P_+ + P_-)^2 = 1,
 P_+^2 - P_-^2 = r and (P_+ - P_-)^2 = r^2 for N=4.
 
+``ProtocolParams`` is the model's one input: ``CQEnsemble`` derives rho_{E|0}
+from it, valid by construction, so nothing is checked at run time.
+
 Basis conventions (fixed so stored matrices are bit-reproducible):
 
 * N=2: psi_pm basis, |psi_+-> = (|gamma> +- |-gamma>)/sqrt(2 c_pm) with
@@ -30,7 +33,7 @@ finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +86,8 @@ def cond_prob_table(params: ProtocolParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CQEnsemble:
-    """Eve's ensemble as ``rho0`` = rho_{E|0}, real and exactly symmetric (real kernels read it).
+    """Eve's ensemble at ``params`` as ``rho0`` = r^d G (G the Gram factor of sqrt(m)), computed
+    once, read-only, real and exactly symmetric (real kernels read it).
 
     Bob's y is uniform and rho_{E|y} = U_y rho0 U_y^dag, so every conditional
     state has the spectrum of ``rho0``, as the one-term symmetry reduction of
@@ -91,18 +95,34 @@ class CQEnsemble:
     """
 
     params: ProtocolParams
-    rho0: np.ndarray
+    rho0: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = self.params.n_states
-        if self.rho0.shape != (n, n):
-            raise ValueError("rho0 does not match the modulation size")
-        if self.rho0.dtype != np.float64 or not (self.rho0 == self.rho0.T).all():
-            raise ValueError("rho0 must be real and exactly symmetric")
-        if abs(self.rho0.trace() - 1.0) > 1e-10:
-            raise ValueError("conditional state trace differs from 1")
-        if np.linalg.eigvalsh(self.rho0)[0] < -1e-10:
-            raise ValueError("conditional state is not positive semidefinite")
+        params, gamma = self.params, self.params.gamma
+        if params.n_states == 2:
+            c_plus = 1.0 + math.exp(-2.0 * gamma * gamma)
+            c_minus = -math.expm1(-2.0 * gamma * gamma)
+            m = np.array([c_plus / 2.0, c_minus / 2.0 if c_minus >= DEGENERACY_CUTOFF else 0.0])
+            # sqrt(m m^T) is c_pm/2 on the diagonal and sqrt(c_+ c_-)/2 off it,
+            # bit for bit; sqrt(m) sqrt(m)^T rounds its diagonal
+            gram = np.sqrt(m[:, None] * m)
+        else:
+            # every exp(-g2) factor is exactly 0.0 beyond g2 ~ 745, so the cap only keeps
+            # cos(g2 + ...) finite where gamma^2 overflows: m_s reaches its limit 1/4
+            g2 = min(gamma * gamma, 1e3)
+            s = np.arange(4)
+            norms = (1.0 + np.exp(-2.0 * g2) * np.cos(np.pi * s)
+                     + 2.0 * np.exp(-g2) * np.cos(g2 + np.pi * s / 2.0))
+            m = np.where(norms < DEGENERACY_CUTOFF, 0.0, norms) / 4.0
+            # sqrt(m) sqrt(m)^T is the product w_s w_s' of the weights w = sqrt(m)
+            # that the QPSK values were computed with; sqrt(m m^T) rounds otherwise
+            gram = np.sqrt(m)[:, None] * np.sqrt(m)
+        r = params.contrast
+        # libm pow, not numpy's
+        powers = np.array([r**d for d in range(params.n_states // 2 + 1)])
+        rho0 = powers[_DISTANCE[params.n_states]] * gram
+        rho0.setflags(write=False)
+        object.__setattr__(self, "rho0", rho0)
 
     @property
     def n_states(self) -> int:
@@ -115,27 +135,5 @@ class CQEnsemble:
 
 
 def build_ensemble(params: ProtocolParams) -> CQEnsemble:
-    """Eve's ensemble: rho0[s, s'] = r^d(s, s') G[s, s'] with G the Gram factor of sqrt(m)."""
-    gamma = params.gamma
-    if params.n_states == 2:
-        c_plus = 1.0 + math.exp(-2.0 * gamma * gamma)
-        c_minus = -math.expm1(-2.0 * gamma * gamma)
-        m = np.array([c_plus / 2.0, c_minus / 2.0 if c_minus >= DEGENERACY_CUTOFF else 0.0])
-        # sqrt(m m^T) is c_pm/2 on the diagonal and sqrt(c_+ c_-)/2 off it,
-        # bit for bit; sqrt(m) sqrt(m)^T rounds its diagonal
-        gram = np.sqrt(m[:, None] * m)
-    else:
-        # every exp(-g2) factor is exactly 0.0 beyond g2 ~ 745, so the cap only keeps
-        # cos(g2 + ...) finite where gamma^2 overflows: m_s reaches its limit 1/4
-        g2 = min(gamma * gamma, 1e3)
-        s = np.arange(4)
-        norms = 1.0 + np.exp(-2.0 * g2) * np.cos(np.pi * s) + 2.0 * np.exp(-g2) * np.cos(g2 + np.pi * s / 2.0)
-        m = np.where(norms < DEGENERACY_CUTOFF, 0.0, norms) / 4.0
-        # sqrt(m) sqrt(m)^T is the product w_s w_s' of the weights w = sqrt(m)
-        # that the QPSK values were computed with; sqrt(m m^T) rounds otherwise
-        gram = np.sqrt(m)[:, None] * np.sqrt(m)
-    r = params.contrast
-    powers = np.array([r**d for d in range(params.n_states // 2 + 1)])  # libm pow, not numpy's
-    rho0 = powers[_DISTANCE[params.n_states]] * gram
-    rho0.setflags(write=False)
-    return CQEnsemble(params=params, rho0=rho0)
+    """Eve's ensemble at ``params``, the one entry point of every caller."""
+    return CQEnsemble(params)

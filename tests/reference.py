@@ -5,7 +5,8 @@ matrices, the per-protocol formulas for the probability tables, the leaks
 and Eve's states (each erf written out, the QPSK state as a complex phase
 sum over a table row), Eve's N conditional states each built from its own
 formula, the brute-force entropies on the explicitly assembled
-block-diagonal classical-quantum state, the golden-section search that the
+block-diagonal classical-quantum state, the trace functional of the
+invariant solve, the golden-section search that the
 two-state invariant solve replaced, an axis-aligned starting simplex, and
 the full phase-rotation symmetry group of an ensemble. The tests check the
 one contrast-based model of ``pskrates.states``, the reduced formulas and
@@ -169,6 +170,18 @@ def petz_down_matrix_path(ensemble: CQEnsemble, a: float) -> float:
     t = np.trace(apply_on_support(rho0, lambda lam: lam**a)
                  @ apply_on_support(avg, lambda lam: lam**(1.0 - a))).real
     return math.log2(ensemble.n_states) + math.log2(t) / (1.0 - a)
+
+
+def invariant_trace(rho0: np.ndarray, q: np.ndarray, a: float) -> float:
+    """tr[(D rho0 D)^a], D = diag(q^((1-a)/2a)), at a diagonal state q.
+
+    The trace that the invariant solve optimizes over q and that
+    ``sandwiched_down_cq`` takes at q = diag(rho_E), on the same kernel: the
+    power of q is taken entry by entry, so only its exactly zero weights
+    lie off the support.
+    """
+    d = np.where(q > 0.0, q, 1.0) ** ((1.0 - a) / (2.0 * a)) * (q > 0.0)
+    return entropies._tr_power(d[:, None] * rho0 * d[None, :], a, entropies._power_support(a))
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -112,7 +112,34 @@ class TestEntropies:
         code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
                                  "--alpha", "1", "--eta", "0.5", "--order", "1000")
         assert code == EXIT_PARAMS and out == ""
-        assert "sand_down" in err and "a=1000" in err
+        assert "sand_down evaluates to -inf at alpha=1, eta=0.5, a=1000, " in err
+
+    @pytest.mark.parametrize("argv, name, point", [
+        (("qpsk", "--alpha", "1", "--eta", "0.5", "--order", "1e-6"),
+         "petz_up", "alpha=1, eta=0.5, a=1e-06"),  # a power overflows
+        (("bpsk", "--alpha", "1", "--eta", "0", "--order", "1e4"),
+         "petz_down", "alpha=1, eta=0, a=10000"),  # every weight drops out of the log sum
+    ])
+    def test_kernel_failure_at_extreme_order_is_refused(self, capsys, argv, name, point):
+        # the functional is finite; its kernel fails, and the refusal is the one
+        # of an infinite value: a single line that names the functional and the point
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "entropies", "--protocol", *argv)
+        assert code == EXIT_PARAMS and out == "" and caught == []
+        assert err.startswith(f"error: {name} fails (") and err.count("\n") == 1
+        assert f"at {point}, where it is finite: the order is out of the kernels' range" in err
+
+    def test_analytic_path_leaves_the_numeric_only_columns_empty(self, capsys):
+        code, out, err = run_cli(capsys, "entropies", "--protocol", "bpsk", "--alpha", "1",
+                                 "--eta", "0.6", "--order", "1.2", "--path", "analytic")
+        assert code == EXIT_OK and err == ""
+        header, [row] = parse_csv(out)
+        assert header == ["eta", "alpha", "a", "petz_down", "petz_up", "sand_down",
+                          "sand_up", "vn", "B"]
+        closed = entropies.bpsk_closed_forms(ProtocolParams(2, 1.0, 0.6), 1.2)
+        assert row[3:6] == [f"{value:.12g}" for value in closed]
+        assert row[6:] == ["", "", ""]
 
     def test_order_below_half_leaves_sand_up_nan(self, capsys):
         code, out, err = run_cli(capsys, "entropies", "--protocol", "qpsk",
@@ -327,6 +354,19 @@ class TestSweep:
         header, rows = parse_csv(out1)
         assert len(rows) == 4
         assert [float(r[0]) for r in rows] == pytest.approx([0.2, 0.4, 0.6, 0.8])
+
+    def test_alpha_sweep_rate_is_one_single_point_rate_per_alpha(self, capsys):
+        argv = ("--protocol", "bpsk", "--eta", "0.9", "--n", "1e6", "--order", "1.1",
+                "--estimator", "S,B")
+        code, out, err = run_cli(capsys, "sweep", "--variable", "alpha", "--from", "0.5",
+                                 "--to", "1.5", "--points", "3", "--quantity", "rate", *argv)
+        assert code == EXIT_OK and err == ""
+        _, rows = parse_csv(out)
+        want = []
+        for alpha in ("0.5", "1", "1.5"):
+            _, single, _ = run_cli(capsys, "rate", "--alpha", alpha, *argv)
+            want += parse_csv(single)[1]
+        assert rows == want and len(rows) == 6
 
     def test_log_n_sweep_rate(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--variable", "n",

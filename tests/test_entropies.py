@@ -8,11 +8,9 @@ import pytest
 
 import pskrates.entropies as entropies
 from pskrates.entropies import (
-    BpskClosedFormInputs,
     CONTINUITY_A_MAX,
     ContinuityTerms,
     ConvergenceWarning,
-    _invariant_objective,
     bpsk_closed_forms,
     continuity_bound,
     continuity_terms,
@@ -39,6 +37,7 @@ from reference import (
     brute_entropy_cq,
     conditional_states,
     initial_simplex,
+    invariant_trace,
     petz_down_matrix_path,
     random_density,
     two_state_golden_log_trace,
@@ -290,8 +289,8 @@ class TestContinuityBound:
         continuity_bound(ensemble, 1.7)
         continuity_terms(ensemble).continuity(1.05)[0]
         assert calls == []
-        build_ensemble(ProtocolParams(4, 1.1, 0.8))
-        assert calls  # the counter sees eigensolves
+        continuity_terms(build_ensemble(ProtocolParams(4, 1.1, 0.8)))
+        assert calls  # the counter sees eigensolves: the new terms take one eigh
 
     def test_terms_are_held_once_and_released_with_the_ensemble(self):
         first = build_ensemble(ProtocolParams(2, 0.7, 0.5))
@@ -388,12 +387,11 @@ class TestSandwichedUpInvariant:
             alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
             a = 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(63.0))
             ensemble = build_ensemble(ProtocolParams(2, alpha, eta))
-            objective = _invariant_objective(ensemble.rho0, a)
 
             def scaled(x):
                 z = min(max(float(x[0]), -60.0), 60.0)
                 q = np.array([1.0, math.exp(z)]) / (1.0 + math.exp(z))
-                return math.log2(objective(q)) / (a - 1.0)
+                return math.log2(invariant_trace(ensemble.rho0, q, a)) / (a - 1.0)
 
             best = min(nelder_mead(scaled, initial_simplex([z0], 0.5),
                                    f_tol=1e-14, max_iter=100).fun
@@ -516,12 +514,11 @@ class TestSandwichedUpInvariant:
             a = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(63.0))
             ensemble = build_ensemble(ProtocolParams(4, alpha, eta))
             rho0 = ensemble.rho0
-            objective = _invariant_objective(rho0, a)
 
             def scaled(x):
                 z = np.concatenate(([0.0], np.clip(x, -60.0, 60.0)))
                 q = np.exp(z - z.max())
-                return math.log2(objective(q / q.sum())) / (a - 1.0)
+                return math.log2(invariant_trace(rho0, q / q.sum(), a)) / (a - 1.0)
 
             p = np.clip(np.diag(rho0).real, 1e-30, None)
             runs = [nelder_mead(scaled, initial_simplex(z0, 0.5), f_tol=1e-14, max_iter=2000)
@@ -548,12 +545,11 @@ class TestSandwichedUpInvariant:
             alpha, eta = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
             a = rng.uniform(0.5, 1.0 - 1e-5)
             ensemble = build_ensemble(ProtocolParams(n_states, alpha, eta))
-            objective = _invariant_objective(ensemble.rho0, a)
 
             def scaled(x):
                 z = np.concatenate(([0.0], np.clip(x, -60.0, 60.0)))
                 q = np.exp(z - z.max())
-                return -math.log2(objective(q / q.sum())) / (1.0 - a)
+                return -math.log2(invariant_trace(ensemble.rho0, q / q.sum(), a)) / (1.0 - a)
 
             p = np.clip(ensemble.avg_diag, 1e-30, None)
             dim = n_states - 1
@@ -679,14 +675,6 @@ class TestSandwichedUpInvariant:
 
 
 class TestClosedForms:
-    def test_inputs_block(self):
-        params = ProtocolParams(2, 1.0, 0.9)
-        s = BpskClosedFormInputs.from_params(params)
-        assert abs(s.kappa - math.exp(-0.2)) <= 1e-15
-        assert abs(s.r - math.erf(math.sqrt(1.8))) <= 1e-15
-        assert s.g >= 1.0 and 0.0 < s.kappa * s.g < 1.0
-        assert s.theta > s.phi > 0.0
-
     def test_eta_to_zero_limit_is_one_bit(self):
         for alpha in (0.3, 1.0, 2.5):
             closed = bpsk_closed_forms(ProtocolParams(2, alpha, 1e-12), 1.4)

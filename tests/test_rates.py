@@ -8,7 +8,7 @@ import pytest
 import pskrates.entropies as entropies
 import pskrates.rates as rates
 from pskrates.entropies import von_neumann_cq
-from pskrates.optimize import _stencil
+from pskrates.optimize import _stencil, quadratic_polish
 from pskrates.oracles import erf_oracle
 from pskrates.rates import (
     RateResult,
@@ -235,6 +235,23 @@ class TestOptimizeRate:
             assert message.startswith(f"S rate at n={n}:")
             assert "first at alpha=0.05, a=2.0488 " in message
 
+    def test_other_warnings_pass_through_and_keep_convergence(self, monkeypatch):
+        # a numpy-style RuntimeWarning inside an entropy function reaches the
+        # caller as it was raised, and does not mark the result unconverged
+        def stub(ensemble, a):
+            if a > 2.0:
+                warnings.warn("overflow encountered in power", RuntimeWarning, stacklevel=2)
+            return 1.0 - 0.1 * (ensemble.params.alpha - 1.0) ** 2
+
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant", stub)
+        score_grid_point_by_point(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            [result] = optimize_rate("S", 2, 0.9, [1e6])
+        assert result.converged
+        assert caught and all(w.category is RuntimeWarning for w in caught)
+        assert {str(w.message) for w in caught} == {"overflow encountered in power"}
+
     def test_ranked_grid_still_counts_vertex_warnings(self, monkeypatch):
         # with the array solve ranking the BPSK grid, the stub runs only at
         # the polish's points, and their warnings still mark every n
@@ -414,6 +431,22 @@ class TestPolish:
             warnings.simplefilter("error")
             results = optimize_rate("S,AEP,B", n_states, 0.0, self.NS)
         assert all(r.converged for r in results)
+
+    def test_gradient_step_where_the_first_model_is_not_concave(self):
+        # a convex first model has no Newton step: the polish steps uphill along
+        # its gradient, then fits the concave objective on its own stencils
+        def fn(x):
+            return -((x[0] - 0.6) ** 2) - 2.0 * (x[1] + 0.2) ** 2
+
+        lower, upper, scale = np.array([0.0, -1.0]), np.array([1.0, 1.0]), np.array([0.1, 0.1])
+        x0 = np.array([0.4, 0.0])
+        points = _stencil(x0, scale, lower, upper, True)
+        offsets = (points - x0) / scale
+        model = points, (offsets**2).sum(axis=1) + offsets @ [1.0, -1.0]
+        result = quadratic_polish(fn, x0, lower, upper, scale, lambda x: 1e-15, model)
+        assert result.converged
+        assert np.abs(result.x - [0.6, -0.2]).max() <= 1e-6
+        assert result.fun >= -1e-12
 
     def test_order_cap_is_reported_as_the_active_bound(self):
         [capped, interior] = optimize_rate("S", 2, 0.9, [316.23, 1e4], a_max=64.0)
