@@ -144,13 +144,19 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   twice the last, run until phi changes sign; then Anderson-Bjorck regula
 #   falsi (BIT 13, 1973) narrows the bracket. The solve stops once the
 #   Frank-Wolfe gap max_i w_i / q_i - 1 certifies _CERTIFY_BITS as for N=4,
-#   the bracket is within 1e-11 or a step is pinned at the clip, and never
-#   warns. The evaluation is written once, for one point (math) and for a
-#   stack of points (numpy), whose solve runs every point's iteration
-#   together, each with its own bracket and stopping test. numpy's exp and
-#   log may differ from math's in the last ulp, so the array solve only
-#   ranks the grid of ``rates.optimize_rate``; the single-point solve
-#   produces every reported value.
+#   the bracket is within 1e-11 or a step is pinned at the clip. Near
+#   a = 1/2 on a near-pure rho_{E|0}, phi can stay at rounding noise of one
+#   sign while the gap stays above tolerance, so that z creeps by steps of
+#   that noise: after _TWO_STATE_MAX_EVAL evaluations the solve stops and
+#   warns with the order, phi, the gap and the tolerance. In a scan of 6000
+#   points (alpha <= 30, eta in [0, 1], a in [1/2, 64]) no point with
+#   a - 1/2 >= 1e-6 took more than 21 evaluations.
+#   The evaluation is written once, for one point (math) and for a stack of
+#   points (numpy), whose solve runs every point's iteration together, each
+#   with its own bracket, stopping test and cap. numpy's exp and log may
+#   differ from math's in the last ulp, so the array solve only ranks the
+#   grid of ``rates.optimize_rate``; the single-point solve produces every
+#   reported value.
 #
 # * N=4: a damped Newton method that minimizes s log T, s = sign(a - 1),
 #   and stops on a certificate. Each iterate costs one eigh of M, scaled by
@@ -183,21 +189,22 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   rounding and the gap falls: near the optimum (or near a = 1) the
 #   change in log T drops below its rounding, and the gap is then the
 #   merit function. A solve that does not certify warns with the order,
-#   the gap and the tolerance. This loop, ``_certified_newton``, also runs
-#   the general solve over all conditioning states below.
+#   the gap and the tolerance. The general solve over all conditioning
+#   states below runs the same loop (``_certified_newton``) on one point.
 #
 #   The start for a > 1, q_i proportional to rho_ii^(a/(2a-1)), is the
 #   optimum for pure rho_{E|0} and as a -> 1. Its exponent diverges as
 #   a -> 1/2, and started there the solve can stall on stationary points
 #   that the support cut creates, so a < 1 starts from diag(rho_E) instead.
 #
-#   The array solve runs every grid point's Newton solve together on a
-#   (G, k, k) stack (``_newton_solves``), each point with its own line
-#   search, iteration count and certificate; a weight pinned by its floor
-#   keeps a zeroed row and column in the stacked Hessian. It takes its logs
-#   with math, like the single-point solve, and on the optimizer's grid
-#   matches it to a few ulps of log T. As for N=2 it only ranks the grid;
-#   a point that does not certify there is solved again alone.
+#   One solve serves one point and a stack of points alike: it runs every
+#   point's Newton solve together on a (G, k, k) stack (``_newton_solves``),
+#   each point with its own line search, iteration count and certificate; a
+#   weight pinned by its floor keeps a zeroed row and column in the stacked
+#   Hessian. A row's arithmetic does not depend on the other rows, so a
+#   point has the same bits alone (``sandwiched_up_invariant`` solves a
+#   one-row stack) and in the optimizer's grid or polish stencils. The
+#   stacked solve never warns; it reports whether each point certified.
 # ---------------------------------------------------------------------------
 
 #: Log-odds clip of both invariant solves, and the bracket that ends the two-state solve.
@@ -207,6 +214,8 @@ _LOGODDS_TOL = 1e-11
 #: Entropy error (bits) both Newton solves certify, and their iteration cap.
 _CERTIFY_BITS = 1e-12
 _NEWTON_MAX_ITER = 50
+#: Merit evaluations after which the two-state solve stops and reports (both twins).
+_TWO_STATE_MAX_EVAL = 1000
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -265,7 +274,14 @@ def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
     merit, fb, gap = evaluate(zb)
     za = fa = math.nan  # the other end of the bracket: NaN until phi changes sign
     zp, fp = zb + fb, 0.0  # the last point: the first secant step is z + phi
+    evaluations = 1
     while gap > _CERTIFY_BITS * LN2 and not abs(za - zb) <= _LOGODDS_TOL:
+        if evaluations == _TWO_STATE_MAX_EVAL:
+            warnings.warn(f"two-state root solve at a={a:.6g} did not certify in {evaluations} "
+                          f"evaluations: phi {fb:.3g}, Frank-Wolfe gap {gap:.3g} above "
+                          f"tolerance {_CERTIFY_BITS * LN2:.3g}; returning the last value",
+                          ConvergenceWarning, stacklevel=3)
+            break
         zo, fo = (za, fa) if za == za else (zp, fp)  # the secant's other point
         sec = fb * (zb - zo) / (fo - fb) if fo != fb else 0.0
         step = min(abs(sec) if sec * fb > 0.0 else abs(fb), 2.0 * abs(zb - zo))
@@ -273,6 +289,7 @@ def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
         if z == zb:
             break
         merit, fc, gap = evaluate(z)
+        evaluations += 1
         if fc * fb < 0.0:
             za, fa = zb, fb
         else:
@@ -282,13 +299,11 @@ def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
     return sense * merit
 
 
-def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """``_two_state_log_trace`` at each 2x2 of a (G, 2, 2) stack and order of a (G,) array.
-
-    Each point has its own bracket, last point and stopping test, and each
-    round evaluates only the points still running (indices ``live``), so each
-    takes the steps it takes alone.
-    """
+def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple:
+    """``_two_state_log_trace`` at each 2x2 of a (G, 2, 2) stack and order of a (G,) array: log T
+    and whether the point stopped before the evaluation cap, where the single-point solve warns.
+    Each point has its own bracket, last point and stopping test, and each round evaluates only
+    the points still running (indices ``live``), so each takes the steps it takes alone."""
     args = rho0s[:, 0, 0], rho0s[:, 1, 1], rho0s[:, 0, 1] ** 2, orders
     evaluate, sense, start = _two_state_merit(*args, np)
     merit, fb, gap = evaluate(np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP))
@@ -296,7 +311,9 @@ def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
     zb, fb = np.clip(start, -_LOGODDS_CLIP, _LOGODDS_CLIP)[live], fb[live]
     za, fa, zp, fp = np.full(zb.shape, np.nan), np.full(zb.shape, np.nan), zb + fb, 0.0 * zb
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.size:
+        for _ in range(_TWO_STATE_MAX_EVAL - 1):  # a round evaluates each live point once
+            if not live.size:
+                break
             zo, fo = np.where(za == za, za, zp), np.where(za == za, fa, fp)
             sec = np.where(fo != fb, fb * (zb - zo) / (fo - fb), 0.0)
             step = np.minimum(np.where(sec * fb > 0.0, np.abs(sec), np.abs(fb)),
@@ -309,7 +326,7 @@ def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
             za, zp, fp, zb, fb = np.where(flip, zb, za), zb, fb, z, fc
             running = (gap > _CERTIFY_BITS * LN2) & ~(np.abs(za - zb) <= _LOGODDS_TOL)
             live, zb, fb, za, fa, zp, fp = (v[running] for v in (live, zb, fb, za, fa, zp, fp))
-    return sense * merit
+    return sense * merit, np.bincount(live, minlength=merit.size) == 0
 
 
 def _power_divided_differences(x: np.ndarray, a) -> np.ndarray:
@@ -364,11 +381,8 @@ def _scaled_power(m: np.ndarray, a: float, n: int) -> _ScaledPower:
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
-    """math.log of each entry, as the single-point solve takes it.
-
-    numpy's log may differ from it in the last ulp, and near a = 1 an ulp of
-    log T is 1e-11 bits of entropy.
-    """
+    """math.log of each entry, as ``_scaled_power`` takes it: numpy's log may differ in the last
+    ulp, and near a = 1 an ulp of log T is 1e-11 bits of entropy."""
     return np.array([math.log(v) for v in x.tolist()])
 
 
@@ -407,127 +421,39 @@ class _Iterate(NamedTuple):
     floor: np.ndarray  # rounding floor of r_i
 
 
-def _certified_newton(evaluate, newton_step, start, a: float, label: str, test: str,
-                      stacklevel: int):
-    """Damped Newton from ``start`` that stops on the certificate ``it.gap``.
-
-    ``newton_step(it)`` gives the slope and the step, or None if no variable
-    can move. The line search and the warning are described in the comment
-    above ``_LOGODDS_CLIP``.
-    """
-    tol = _CERTIFY_BITS * LN2
-    it = evaluate(start)
-    for _ in range(_NEWTON_MAX_ITER):
-        move = newton_step(it) if it.gap > tol else None
-        if move is None:
-            break
-        slope, step = move
-        tau = 1.0
-        while tau >= 1e-10:
-            cand = evaluate(it.point + tau * step)
-            if cand.merit <= it.merit + 1e-4 * tau * slope or (
-                    cand.merit <= it.merit + 2.0 * it.noise and cand.gap < it.gap):
-                break
-            tau *= 0.5
-        else:  # no acceptable step: stop and report the gap
-            break
-        it = cand
-    if it.gap > tol:
-        warnings.warn(f"{label} at a={a:.6g} did not certify: "
-                      f"Frank-Wolfe gap {it.gap:.3g} above tolerance {tol:.3g} "
-                      f"({test} against {_CERTIFY_BITS:g} bits * ln 2); "
-                      "returning best value found", ConvergenceWarning, stacklevel=stacklevel)
-    return it
+def _warn_uncertified(solve: str, a: float, gap: float, test: str, stacklevel: int) -> None:
+    """The ConvergenceWarning of a Newton solve whose Frank-Wolfe gap stayed above tolerance."""
+    warnings.warn(f"{solve} at a={a:.6g} did not certify: "
+                  f"Frank-Wolfe gap {gap:.3g} above tolerance {_CERTIFY_BITS * LN2:.3g} "
+                  f"({test} against {_CERTIFY_BITS:g} bits * ln 2); "
+                  "returning best value found", ConvergenceWarning, stacklevel=stacklevel + 1)
 
 
-def _newton_log_trace(rho0: np.ndarray, a: float) -> float:
-    """Certified opt_q log tr[(D rho0 D)^a], a >= 1/2 (see the comment above).
-
-    The optimum is the minimum for a > 1 and the maximum for a < 1. A zero
-    row of rho0 adds nothing to M, so its weight is set to zero. The largest
-    diagonal entry is the reference weight q_0. For a < 1 the start is
-    diag(rho0), which equals diag(rho_E) since every U_t is diagonal.
-    """
-    p = np.diag(rho0)
-    support = np.flatnonzero(p > 0.0)
-    support = support[np.argsort(-p[support], kind="stable")]
-    rho = rho0[np.ix_(support, support)]
-    n = rho0.shape[0]
-    c = (1.0 - a) / (2.0 * a)
-    sense = 1.0 if a > 1.0 else -1.0
-
-    def evaluate(z: np.ndarray) -> _Iterate:
-        z = np.clip(z, -_LOGODDS_CLIP, _LOGODDS_CLIP)
-        top = float(z.max(initial=0.0))
-        log_q = np.concatenate(([0.0], z))
-        log_q -= top + math.log(np.exp(log_q - top).sum())
-        q = np.exp(log_q)
-        d = np.exp(c * log_q)
-        sp = _scaled_power(rho * np.outer(d, d), a, n)
-        w = sp.v**2 @ sp.xa / sp.t
-        ratio = w / q
-        kkt, floor = ratio - 1.0, sp.eps * (1.0 / (q * sp.t) + ratio)
-        return _Iterate(z, sense * sp.log_t, sp.noise, float((kkt - floor).max()),
-                        q, sp.x, sp.v, w, sp.t, kkt, floor)
-
-    def newton_step(it: _Iterate) -> tuple[float, np.ndarray] | None:
-        # a weight whose residual is within its rounding floor stays put
-        free = np.abs(it.kkt[1:]) > it.floor[1:]
-        if not free.any():
-            return None
-        k = it.q.size
-        kernel = _power_divided_differences(it.x, a) * (it.x[:, None] + it.x[None, :])
-        proj = (it.v.T[:, :, None] * it.v.T[:, None, :]).reshape(k, k * k)
-        h_t = (proj * (kernel @ proj)).sum(axis=0).reshape(k, k)
-        g_u = 2.0 * a * it.w
-        h_u = 2.0 * a * h_t / it.t - np.outer(g_u, g_u)
-        qf = it.q[1:]
-        h_z = sense * (c * c * h_u[1:, 1:] + (a - 1.0) * (np.diag(qf) - np.outer(qf, qf)))
-        grad = sense * (1.0 - a) * (it.w - it.q)[1:][free]
-        mu, vec = np.linalg.eigh(h_z[np.ix_(free, free)])
-        mu = np.maximum(np.abs(mu), 1e-12 * np.abs(mu).max())
-        step = np.zeros(k - 1)
-        step[free] = -vec @ ((vec.T @ grad) / mu)
-        return float(grad @ step[free]), step
-
-    log_q0 = (a / (2.0 * a - 1.0) if a > 1.0 else 1.0) * np.log(p[support])
-    it = _certified_newton(evaluate, newton_step, log_q0[1:] - log_q0[0], a,
-                           "invariant-state Newton solve", "max_i (M^a)_ii / (q_i T) - 1",
-                           stacklevel=4)
-    return sense * it.merit
-
-
-def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_newton_log_trace`` at each N x N of a (G, N, N) stack, with (G,) orders, all in step.
-
-    Returns log T and whether the point certified. As in the single-point
-    solve, a zero row of rho0 gets zero weight, so the points whose rho0 has
-    the same number of nonzero diagonal entries are solved together.
-    """
+def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple:
+    """Certified opt_q log tr[(D rho0 D)^a] (min for a > 1, max below) at each N x N of a (G, N, N)
+    stack with (G,) orders: log T, whether it certified, and the gap. A zero row of rho0 adds
+    nothing to M and gets zero weight; points with as many nonzero rows are solved together."""
     p = np.diagonal(rho0s, axis1=1, axis2=2)
     perm = np.argsort(-p, axis=1, kind="stable")
     sizes = (p > 0.0).sum(axis=1)
-    log_t, certified = np.empty(p.shape[0]), np.empty(p.shape[0], dtype=bool)
+    log_t, gap = np.empty(p.shape[0]), np.empty(p.shape[0])
     for k in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == k)
         keep = perm[group, :k]
-        log_t[group], certified[group] = _newton_solves(
+        log_t[group], gap[group] = _newton_solves(
             rho0s[group[:, None, None], keep[:, :, None], keep[:, None, :]],
             np.take_along_axis(p[group], keep, axis=1), orders[group], rho0s.shape[1])
-    return log_t, certified
+    return log_t, gap <= _CERTIFY_BITS * LN2, gap
 
 
 def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Newton solves of ``_newton_log_trace`` on a (G, k, k) stack of supports, in step.
+    """The Newton solves on a (G, k, k) stack of supports, in step: log T and the gap.
 
-    rho holds each rho0 on its support, ordered by decreasing diagonal p;
-    n is the dimension of rho0. Each round takes one stacked eigh for the
-    trial points of every live solve and one for the Newton steps of the
-    solves that moved. Each point keeps its own start, line search,
-    iteration count and certificate, with the arithmetic of the single-point
-    solve, and never warns: a point that did not certify is reported as
-    such.
+    rho holds each rho0 on its support, by decreasing diagonal p (q_0 is the reference weight);
+    n is the dimension of rho0. Each round takes one stacked eigh for the trial points of every
+    live solve and one for the Newton steps of those that moved. Each point keeps its own start,
+    line search, iteration count and certificate, so its bits do not depend on the other rows.
     """
     g, k = p.shape
     c, sense = (1.0 - a) / (2.0 * a), np.where(a > 1.0, 1.0, -1.0)
@@ -593,7 +519,7 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
         searching[moved] = False
         tau[stuck] *= 0.5
         searching[stuck] = tau[stuck] >= 1e-10
-    return sense * it.merit, it.gap <= tol
+    return sense * it.merit, it.gap
 
 
 def _check_sandwiched_up_order(a: float) -> float:
@@ -621,43 +547,52 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
     * N=2: a bracketed secant and Anderson-Bjorck root solve of the
       closed-form gradient of the 2x2 spectrum in the log domain, which
       cuts no weight. It stops on the Frank-Wolfe certificate of N=4 or a
-      1e-11 bracket in z; deterministic, never warns.
-    * N=4: damped Newton with the exact (Daleckii-Krein) Hessian. It
-      stops once the Frank-Wolfe gap certifies the value to 1e-12 bits:
-      max_i (M^a)_ii / (q_i tr M^a) - 1 <= 1e-12 ln 2, up to the rounding
-      floor of that ratio. If it cannot certify, a ConvergenceWarning gives
-      the order, the gap reached and the tolerance, and the best value found
-      is returned.
+      1e-11 bracket in z, and warns after ``_TWO_STATE_MAX_EVAL`` evaluations.
+    * N=4: damped Newton with the exact (Daleckii-Krein) Hessian, run by
+      ``_newton_log_traces`` on one row. It stops once the Frank-Wolfe gap
+      certifies the value to 1e-12 bits: max_i (M^a)_ii / (q_i tr M^a) - 1
+      <= 1e-12 ln 2, up to the rounding floor of that ratio.
+
+    A solve that does not certify returns its last (N=2) or best (N=4) value
+    with a ConvergenceWarning that gives the order, the gap reached and the
+    tolerance, and for N=2 phi.
     """
     a = _check_sandwiched_up_order(a)
     rho0 = ensemble.rho0
     n = ensemble.n_states
-    log_t = _two_state_log_trace(rho0, a) if n == 2 else _newton_log_trace(rho0, a)
-    return math.log2(n) + log_t / (LN2 * (1.0 - a))
+    if n == 2:
+        log_t = _two_state_log_trace(rho0, a)
+    else:
+        [log_t], [certified], [gap] = _newton_log_traces(rho0[None], np.array([a]))
+        if not certified:
+            _warn_uncertified("invariant-state Newton solve", a, gap,
+                              "max_i (M^a)_ii / (q_i T) - 1", stacklevel=2)
+    return math.log2(n) + float(log_t) / (LN2 * (1.0 - a))
+
+
+def sandwiched_up_invariant_pairs(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
+    """``sandwiched_up_invariant`` of each ensemble at its own order, all solves run together.
+
+    NaN where a solve did not certify (N=4) or reached its cap (N=2), and the single-point solve
+    warns. N=4 shares that solve, so every other value has its bits; for N=2 numpy's exp and log
+    may differ from math's in the last ulp, and the values may only rank."""
+    return _invariant_values(np.array([e.rho0 for e in ensembles]), np.asarray(orders, float))
 
 
 def sandwiched_up_invariant_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
-    """``sandwiched_up_invariant`` at every (ensemble, order) pair, shape (A, O).
-
-    All A x O solves run together on arrays: the bracketed root solves for
-    N=2, the certified Newton solves for N=4. A value is NaN where the Newton
-    solve did not certify; the single-point solve then gives the value and
-    the warning. numpy's exp and log may differ from math's in the last
-    ulp, so a value can differ from the single-point one by a few ulps of
-    log T; ``optimize_rate`` uses these values only to rank its grid.
-    """
+    """``sandwiched_up_invariant_pairs`` at every (ensemble, order) pair, shape (A, O)."""
     orders = np.asarray(orders, dtype=float)
+    rho0s = np.repeat([e.rho0 for e in ensembles], orders.size, axis=0)
+    return _invariant_values(rho0s, np.tile(orders, len(ensembles))).reshape(len(ensembles), -1)
+
+
+def _invariant_values(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(orders) & (orders >= 0.5) & (orders != 1.0)):
         raise ValueError("optimized sandwiched entropy needs finite orders a >= 1/2, a != 1")
-    rho0s = np.repeat([e.rho0 for e in ensembles], orders.size, axis=0)
-    orders = np.tile(orders, len(ensembles))
     n = rho0s.shape[-1]
-    if n == 2:
-        log_t = _two_state_log_traces(rho0s, orders)
-    else:
-        log_t, certified = _newton_log_traces(rho0s, orders)
-        log_t[~certified] = np.nan
-    return (math.log2(n) + log_t / (LN2 * (1.0 - orders))).reshape(len(ensembles), -1)
+    log_t, certified, *_ = (_two_state_log_traces if n == 2 else _newton_log_traces)(rho0s, orders)
+    log_t[~certified] = np.nan
+    return math.log2(n) + log_t / (LN2 * (1.0 - orders))
 
 
 def von_neumann_cq(ensemble: CQEnsemble) -> float:
@@ -1067,6 +1002,35 @@ class _GeneralIterate(NamedTuple):
     q: np.ndarray  # tr_A(B N^(a-1) B^dag) / T, scaled as p1
 
 
+def _certified_newton(evaluate, newton_step, start, a: float):
+    """Damped Newton from ``start`` that stops on the certificate ``it.gap``.
+
+    ``newton_step(it)`` gives the slope and the step. The line search and the
+    warning are those of the four-state solve (see the comment above
+    ``_LOGODDS_CLIP``).
+    """
+    tol = _CERTIFY_BITS * LN2
+    it = evaluate(start)
+    for _ in range(_NEWTON_MAX_ITER):
+        if it.gap <= tol:
+            break
+        slope, step = newton_step(it)
+        tau = 1.0
+        while tau >= 1e-10:
+            cand = evaluate(it.point + tau * step)
+            if cand.merit <= it.merit + 1e-4 * tau * slope or (
+                    cand.merit <= it.merit + 2.0 * it.noise and cand.gap < it.gap):
+                break
+            tau *= 0.5
+        else:  # no acceptable step: stop and report the gap
+            break
+        it = cand
+    if it.gap > tol:
+        _warn_uncertified("general sandwiched Newton solve", a, it.gap, "lambda_max(R) - 1",
+                          stacklevel=3)
+    return it
+
+
 def sandwiched_up_general(rho, dims: tuple[int, int], a: float) -> float:
     """Optimized sandwiched Rényi conditional entropy over all marginals.
 
@@ -1139,7 +1103,6 @@ def sandwiched_up_general(rho, dims: tuple[int, int], a: float) -> float:
         theta = -jacobi * (vec @ ((vec.T @ (jacobi * grad)) / mu))
         return float(grad @ theta), it.u @ np.einsum("p,pij->ij", theta, basis) @ it.u.conj().T
 
-    it = _certified_newton(evaluate, newton_step, np.diag(np.log(w_b[w_b > 0.0])).astype(complex),
-                           a, "general sandwiched Newton solve", "lambda_max(R) - 1",
-                           stacklevel=3)
+    it = _certified_newton(evaluate, newton_step,
+                           np.diag(np.log(w_b[w_b > 0.0])).astype(complex), a)
     return float(-it.merit / LN2)

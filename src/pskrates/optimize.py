@@ -97,26 +97,31 @@ def _quadratic(offsets, values):
 def quadratic_polish(fn, x0, lower, upper, scale, noise, model):
     """Maximize ``fn`` in the box [lower, upper] from x0, with lengths in units of ``scale``.
 
-    Each iteration fits a least-squares quadratic to ``model`` (points, values) at first, then
-    to x and its ``_stencil`` of half-width h, and takes the Newton step of the free coordinates
-    (uphill along the gradient where the model is not concave) within a trust radius, clipped
-    to the box. A coordinate is held if it is on a bound with the slope pointing out, or if its
-    values differ by no more than ``noise(x)``. A step that loses more than the noise is retried
-    at a quarter of its length; h shrinks to a tenth of each step, down to ``STENCIL_FLOOR``.
-    It converges once the predicted gain 1/2 g^T (-H)^-1 g of the free coordinates is at most
-    ``GAIN_TOL``, and returns the best point evaluated. The bounds and ``scale`` are arrays.
+    ``fn`` scores a batch, an (m, d) array of points in and their m values out: the start and
+    each trial point alone, each stencil's unseen points in one call. Each iteration fits a
+    least-squares quadratic to ``model`` (points, values) at first, then to x and its ``_stencil``
+    of half-width h, and takes the Newton step of the free coordinates (uphill along the gradient
+    where the model is not concave) within a trust radius, clipped to the box. A coordinate is
+    held if it is on a bound with the slope pointing out, or if its values differ by no more than
+    ``noise(x)``. A step that loses more than the noise is retried at a quarter of its length; h
+    shrinks to a tenth of each step, down to ``STENCIL_FLOOR``. It converges once the predicted
+    gain 1/2 g^T (-H)^-1 g of the free coordinates is at most ``GAIN_TOL``, and returns the best
+    point evaluated. The bounds and ``scale`` are arrays.
     """
     seen = {}  # point -> value: a stencil built again costs no evaluation
 
-    def f(x):
-        return seen[tuple(x)] if tuple(x) in seen else seen.setdefault(tuple(x), float(fn(x)))
+    def f(points):  # the values of an (m, d) array of points; fn scores the unseen together
+        keys = list(map(tuple, points.tolist()))
+        if new := [p for p in dict.fromkeys(keys) if p not in seen]:
+            seen.update(zip(new, map(float, fn(np.array(new)))))
+        return [seen[p] for p in keys]
 
     def result(converged, iterations):  # the best point evaluated, the first of a tie
         best = max(seen, key=seen.get)
         return Result(np.array(best), seen[best], converged, iterations, len(seen))
 
     x, h, radius = np.array(x0, dtype=float), 1.0, 1.0
-    fx, (points, values) = f(x), model
+    fx, (points, values) = f(x[None])[0], model
     for iteration in range(1, MAX_ITER + 1):
         g, hess = _quadratic((points - x) / (h * scale), values - fx)
         g, hess, off = g / h, hess / h**2, points != x
@@ -133,12 +138,12 @@ def quadratic_polish(fn, x0, lower, upper, scale, noise, model):
             step[free] = g[free] * radius / np.abs(g[free]).max()
         step *= min(1.0, radius / np.abs(step).max())
         x_new = np.clip(x + step * scale, lower, upper)
-        if f(x_new) < fx - noise(x):  # the model is wrong this far out
+        if (f_new := f(x_new[None])[0]) < fx - noise(x):  # the model is wrong this far out
             radius = move = np.abs(step).max() / 4.0
         else:
             radius, move = max(1.0, 2.0 * np.abs(step).max()), np.abs((x_new - x) / scale).max()
-            x, fx = x_new, f(x_new)
+            x, fx = x_new, f_new
         h = min(h, max(move / 10.0, STENCIL_FLOOR))
         points = _stencil(x, h * scale, lower, upper, x.size > 1 and free.all())
-        values = np.array([f(p) for p in points])
+        values = np.array(f(points))
     return result(False, MAX_ITER)

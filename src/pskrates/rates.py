@@ -226,7 +226,9 @@ def optimize_rate(
     ``quadratic_polish`` certifies the optimum to 1e-12 bits, or to the
     rate's rounding ``_ROUNDING`` (1 + 1/(a - 1)), its first model fitted to
     the winner's 3 x 3 block of grid values (AEP has no order). Every value
-    reported comes from ``entropy_fn``, computed once per point and call
+    reported comes from ``entropy_fn``, or for QPSK S from the stacked solve
+    that has its bits, which then scores the grid and each polish stencil's
+    unseen points in one call. A term is computed once per point and call
     (it does not depend on n), so a rate is never below the winner's, and a
     result equals that of a one-n, one-estimator call bit for bit. Each
     amplitude's ensemble, leak and continuity terms serve every estimator.
@@ -266,6 +268,14 @@ def optimize_rate(
                                  if issubclass(w.category, entropies.ConvergenceWarning)])
         return terms[key]
 
+    # the estimators whose stacked terms have the single-point bits: S's four-state Newton solve
+    exact = {spec.name for spec in specs
+             if spec.entropy_fn == "sandwiched_up_invariant" and n_states == 4}
+
+    def remember(spec: Estimator, points, values) -> None:  # a NaN is left to ``term``
+        terms.update(((spec.name, alpha, log_a), (1.0 + math.exp(log_a), h, []))
+                     for (alpha, log_a), h in zip(points, values) if h == h)
+
     def rank(spec: Estimator, log_a_hi: float | None) -> tuple:
         """The grid points and their entropy terms; NaNs of the hook come from ``term``."""
         log_as = (np.linspace(log_a_lo, log_a_hi, GRID_POINTS).tolist() if spec.takes_order
@@ -273,12 +283,14 @@ def optimize_rate(
         orders = np.array([1.0 + math.exp(log_a) for log_a in log_as]) if spec.takes_order else None
         ensembles = [amplitude(alpha)[0] for alpha in alphas]
         h = np.array(getattr(entropies, spec.grid_fn)(ensembles, orders))  # a copy
+        points = [(alpha, log_a) if spec.takes_order else (alpha,)
+                  for alpha in alphas for log_a in log_as]
+        if spec.name in exact:
+            remember(spec, points, h.ravel().tolist())
         warned = []  # (alpha, a, message) of the terms the hook left NaN, in grid order
         for i, j in zip(*np.nonzero(np.isnan(h))):
             a, h[i, j], messages = term(spec, alphas[i], log_as[j])
             warned += [(alphas[i], a, message) for message in messages]
-        points = [(alpha, log_a) if spec.takes_order else (alpha,)
-                  for alpha in alphas for log_a in log_as]
         return log_a_hi, points, orders, h, warned
 
     def search(spec: Estimator, grid: tuple, n: float) -> RateResult:
@@ -295,11 +307,19 @@ def optimize_rate(
         box = np.array([(lo, hi), (math.log(A_MIN_OFFSET), log_a_hi)][:block.shape[-1]])
         grid_step = (box[:, 1] - [lo, log_a_lo][:len(box)]) / (GRID_POINTS - 1)
 
-        def objective(x: np.ndarray) -> float:
-            alpha, log_a = float(x[0]), float(x[1]) if spec.takes_order else None
+        def rate(alpha: float, log_a: float | None = None) -> float:
             a, h_point, messages = term(spec, alpha, log_a)
             warned.extend((alpha, a, message) for message in messages)
             return float(rate_at(h_point, a, amplitude(alpha)[1]))
+
+        def objective(x: np.ndarray) -> list[float]:  # the rates of an (m, d) array of points
+            points = x.tolist()
+            new = [p for p in points if (spec.name, *p) not in terms] if spec.name in exact else []
+            if new:  # the points not yet scored, in one stacked solve
+                remember(spec, new, entropies.sandwiched_up_invariant_pairs(
+                    [amplitude(alpha)[0] for alpha, _ in new],
+                    [1.0 + math.exp(log_a) for _, log_a in new]).tolist())
+            return [rate(*point) for point in points]
 
         def noise(x: np.ndarray) -> float:  # a rate's rounding, and log T / (1 - a)'s
             return _ROUNDING * (1.0 + (math.exp(-x[1]) if spec.takes_order else 0.0))

@@ -33,6 +33,19 @@ def test_traced_names_exist():
     assert missing == []
 
 
+def test_readme_private_names_exist():
+    # a backticked private name in README.md, bare (`_scaled_powers`) or with its module
+    # (`entropies._tr_power`), must still be an attribute of a pskrates module
+    package = ROOT / "src" / "pskrates"
+    modules = {path.stem: importlib.import_module(f"pskrates.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    names = re.findall(r"`(?:(\w+)\.)?(_\w+)`", (ROOT / "README.md").read_text())
+    missing = [f"{module}.{name}" if module else name for module, name in names
+               if not any(hasattr(modules.get(m), name) for m in ([module] if module else modules))]
+    assert names
+    assert missing == []
+
+
 def test_support_cutoff_has_one_home():
     # the relative support cut is linalg.on_support; outside linalg.py only the
     # Newton kernels, whose spectra are already scaled to a top of 1, compare with the constant

@@ -130,6 +130,15 @@ class TestEntropies:
         assert err.startswith(f"error: {name} fails (") and err.count("\n") == 1
         assert f"at {point}, where it is finite: the order is out of the kernels' range" in err
 
+    def test_two_state_solve_cap_exits_three(self, capsys):
+        # near a = 1/2 on a near-pure ensemble this command once never returned
+        code, out, err = run_cli(capsys, "entropies", "--protocol", "bpsk", "--alpha", "10",
+                                 "--eta", "0.9", "--order", "0.5")
+        assert code == EXIT_NONCONVERGED and out == ""
+        assert err == ("error: two-state root solve at a=0.5 did not certify in 1000 "
+                       "evaluations: phi -4.12e-09, Frank-Wolfe gap 2.06e-09 above tolerance "
+                       "6.93e-13; returning the last value\n")
+
     def test_analytic_path_leaves_the_numeric_only_columns_empty(self, capsys):
         code, out, err = run_cli(capsys, "entropies", "--protocol", "bpsk", "--alpha", "1",
                                  "--eta", "0.6", "--order", "1.2", "--path", "analytic")
@@ -463,6 +472,22 @@ class TestSweep:
         assert code == EXIT_PARAMS
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--variable", "eta", "--from", "0.1", "--to", "0.9", "--points", "1",
+          "--quantity", "entropies", "--alpha", "1"), "a sweep needs at least 2 points"),
+        (("--variable", "alpha", "--from", "0.5", "--to", "1", "--points", "2",
+          "--quantity", "entropies"), "--eta is required unless it is the swept variable"),
+        (("--variable", "a", "--from", "1.1", "--to", "1.5", "--points", "2",
+          "--quantity", "entropies", "--eta", "0.9"), "entropy sweeps need --alpha unless"),
+        (("--variable", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
+          "--quantity", "rate", "--order", "1.2"), "rate sweeps need --alpha or --optimize"),
+    ])
+    def test_missing_sweep_parameter_is_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", "--protocol", "bpsk", *argv)
+        assert code == EXIT_PARAMS and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_analytic_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "analytic",
@@ -539,6 +564,18 @@ class TestConfigFile:
     def test_missing_config_is_parameter_error(self, capsys):
         code, _, err = run_cli(capsys, "probs", "--config", "/nonexistent.cfg")
         assert code == EXIT_PARAMS
+
+    @pytest.mark.parametrize("argv, message", [
+        (("probs", "--config"), "--config needs a file path"),
+        (("--config", "{cfg}"), "--config requires a subcommand"),
+        (("probs", "--config", "{cfg}"), "config lines must be key=value, got 'alpha 1'"),
+    ])
+    def test_malformed_config_is_named(self, capsys, tmp_path, argv, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol=bpsk\nalpha 1\n")
+        code, out, err = run_cli(capsys, *(arg.format(cfg=cfg) for arg in argv))
+        assert code == EXIT_PARAMS and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -406,7 +406,9 @@ class TestSandwichedUpInvariant:
         cases, want = two_state_cases
         orders = np.array([a for _, a in cases])
         scalar = np.array([entropies._two_state_log_trace(rho0, a) for rho0, a in cases])
-        array = entropies._two_state_log_traces(np.array([rho0 for rho0, _ in cases]), orders)
+        array, certified = entropies._two_state_log_traces(
+            np.array([rho0 for rho0, _ in cases]), orders)
+        assert certified.all()
         bound = 1e-15 * np.maximum(1.0, orders)
         assert np.all(np.abs(scalar - want) <= bound)
         assert np.all(np.abs(array - want) <= bound)
@@ -429,6 +431,54 @@ class TestSandwichedUpInvariant:
         for rho0, a in two_state_cases[0]:
             entropies._two_state_log_trace(rho0, a)
         assert max(counts) <= 16
+
+    def test_two_state_solve_stops_at_its_evaluation_cap(self, monkeypatch):
+        # near a = 1/2 on a near-pure ensemble phi stays at rounding noise and
+        # the solve once crept toward the clip without end; counted through
+        # the merit, not by wall time
+        merit, calls, evaluations = entropies._two_state_merit, [], []
+
+        def counted(*args):
+            evaluate, sense, start = merit(*args)
+            calls.append(args[-1])
+
+            def count(z):
+                evaluations.append(z)
+                return evaluate(z)
+            return count, sense, start
+
+        monkeypatch.setattr(entropies, "_two_state_merit", counted)
+        hang = build_ensemble(ProtocolParams(2, 10.0, 0.9))
+        with pytest.warns(ConvergenceWarning) as record:
+            value = sandwiched_up_invariant(hang, 0.5)
+        assert [str(w.message) for w in record] == [
+            "two-state root solve at a=0.5 did not certify in 1000 evaluations: phi -4.12e-09, "
+            "Frank-Wolfe gap 2.06e-09 above tolerance 6.93e-13; returning the last value"]
+        assert len(evaluations) == entropies._TWO_STATE_MAX_EVAL and math.isfinite(value)
+        # the array solve stops there too, and its grid hook leaves the point NaN
+        calls.clear()
+        grid = entropies.sandwiched_up_invariant_grid([hang], [0.5, 1.5])
+        assert np.isnan(grid[0, 0]) and math.isfinite(grid[0, 1])
+        assert calls.count(np) == entropies._TWO_STATE_MAX_EVAL
+
+    def test_four_state_single_point_is_a_one_row_stack(self):
+        # one Newton solve: a point alone has the bits it has in a stack of
+        # 200, on the optimizer's box and below a = 1
+        rng = philox_rng(315)
+        ensembles, orders = [], []
+        for i in range(200):
+            ensembles.append(build_ensemble(random_protocol(rng, 4)))
+            orders.append(1.0 + 10.0 ** rng.uniform(-5.0, math.log10(63.0)) if i % 2
+                          else rng.uniform(0.5, 1.0 - 1e-5))
+        stacked = entropies.sandwiched_up_invariant_pairs(ensembles, orders)
+        for ensemble, a, value in zip(ensembles, orders, stacked.tolist()):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ConvergenceWarning)
+                alone = sandwiched_up_invariant(ensemble, a)
+            grid = entropies.sandwiched_up_invariant_grid([ensemble], [a])[0, 0]
+            assert (value != value) == (grid != grid) == bool(caught)
+            if not caught:
+                assert alone == value == grid
 
     def test_two_state_slope_matches_central_differences(self):
         # d(s log T)/dz = -|a - 1| (w_1 - q_1) with w_1 / w_0 = e^(z + phi);
@@ -479,7 +529,9 @@ class TestSandwichedUpInvariant:
         rho0s = np.array([build_ensemble(ProtocolParams(2, float(alpha), eta)).rho0
                           for alpha in alphas])
         for orders, scaled in zip(order_sets, (False, False, True)):
-            got = entropies._two_state_log_traces(np.repeat(rho0s, 25, axis=0), np.tile(orders, 25))
+            got, certified = entropies._two_state_log_traces(np.repeat(rho0s, 25, axis=0),
+                                                             np.tile(orders, 25))
+            assert certified.all()
             want = np.array([entropies._two_state_log_trace(rho0, float(a))
                              for rho0 in rho0s for a in orders])
             assert np.all(np.abs(got - want) <= 4e-15 * (np.tile(orders, 25) if scaled else 1.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pskrates.entropies as entropies
+import pskrates.optimize as optimize
 import pskrates.rates as rates
 from pskrates.entropies import von_neumann_cq
 from pskrates.optimize import _stencil, quadratic_polish
@@ -311,12 +312,21 @@ class TestOptimizeRate:
         assert scalar <= 100
 
     def test_qpsk_s_grid_is_one_array_solve(self, monkeypatch):
-        # the same guard for the batched Newton solves (677 scalar solves
-        # when they also scored the grid)
-        batched, scalar = self.count_solves(
-            monkeypatch, 4, ("_newton_log_traces", "_newton_log_trace"))
-        assert batched == 1
-        assert scalar <= 100
+        # one 625-row stacked Newton solve ranks the grid; each polish
+        # stencil and trial point runs the same solve on its unseen points,
+        # and no (rho0, order) point is solved twice in one call
+        solve, calls = entropies._newton_log_traces, []
+
+        def counted(rho0s, orders):
+            calls.append([(rho0.tobytes(), a) for rho0, a in zip(rho0s, orders.tolist())])
+            return solve(rho0s, orders)
+
+        monkeypatch.setattr(entropies, "_newton_log_traces", counted)
+        optimize_rate("S", 4, 0.9, [316.23, 1e4, 1e8])
+        assert [len(rows) for rows in calls if len(rows) >= 10] == [625]
+        assert len(calls[0]) == 625 and len(calls) > 1
+        solved = [point for rows in calls for point in rows]
+        assert len(set(solved)) == len(solved)
 
     def test_uncertified_grid_points_fall_back_to_single_solves(self, monkeypatch):
         # with no Newton step allowed, no grid point certifies in the array
@@ -405,7 +415,7 @@ class TestPolish:
             first = polish(fn, x0, lower, upper, scale, noise, model)
             start = np.clip(first.x + scale * [0.3, -0.2][:len(scale)], lower, upper)
             stencil = _stencil(start, scale, lower, upper, False)  # a model one grid step wide
-            model = stencil, np.array([fn(p) for p in stencil])
+            model = stencil, np.array(fn(stencil))
             pairs.append((first, polish(fn, start, lower, upper, scale, noise, model)))
             return first
 
@@ -432,11 +442,51 @@ class TestPolish:
             results = optimize_rate("S,AEP,B", n_states, 0.0, self.NS)
         assert all(r.converged for r in results)
 
+    @pytest.mark.parametrize("x0, cross, iterations, evaluations", [
+        ((0.4, 0.0), True, 3, 13), ((0.95, -0.9), True, 5, 25), ((0.1, 0.7), False, 5, 25)])
+    def test_each_stencil_is_one_call_of_its_unseen_points(self, monkeypatch, x0, cross,
+                                                             iterations, evaluations):
+        # the start and each trial point come alone, and each stencil's unseen points in one
+        # call, in stencil order; the Result is the one of the per-point polish it replaced
+        # (whose iteration and evaluation counts are pinned here)
+        stencils, calls = [], []
+        build = optimize._stencil
+        monkeypatch.setattr(optimize, "_stencil", lambda *args: stencils.append(
+            (len(calls), build(*args))) or stencils[-1][1])
+
+        def objective(x):
+            return -((x[:, 0] - 0.6) ** 2) - 2.0 * (x[:, 1] + 0.2) ** 2 + 0.5 * x[:, 0] * x[:, 1]
+
+        def fn(x):
+            calls.append([tuple(p) for p in x.tolist()])
+            return objective(x)
+
+        lower, upper, scale = np.array([0.0, -1.0]), np.array([1.0, 1.0]), np.array([0.1, 0.1])
+        x0 = np.array(x0)
+        points = build(x0, scale, lower, upper, cross)
+        model = points, objective(points)
+        result = quadratic_polish(fn, x0, lower, upper, scale, lambda x: 1e-15, model)
+        assert calls[0] == [tuple(x0)]
+        stencil_calls = set()
+        for mark, stencil in stencils:
+            before = {p for call in calls[:mark] for p in call}
+            unseen = [p for p in dict.fromkeys(map(tuple, stencil.tolist())) if p not in before]
+            if unseen:
+                assert calls[mark] == unseen
+                stencil_calls.add(mark)
+        assert all(len(call) == 1 for i, call in enumerate(calls) if i not in stencil_calls)
+        scored = [p for call in calls for p in call]
+        values = dict(zip(scored, objective(np.array(scored)).tolist()))
+        assert len(set(scored)) == len(scored) == result.evaluations == evaluations
+        assert result.iterations == iterations and result.converged
+        assert result.fun == max(values.values())
+        assert tuple(result.x) == next(p for p in scored if values[p] == result.fun)
+
     def test_gradient_step_where_the_first_model_is_not_concave(self):
         # a convex first model has no Newton step: the polish steps uphill along
         # its gradient, then fits the concave objective on its own stencils
         def fn(x):
-            return -((x[0] - 0.6) ** 2) - 2.0 * (x[1] + 0.2) ** 2
+            return -((x[:, 0] - 0.6) ** 2) - 2.0 * (x[:, 1] + 0.2) ** 2
 
         lower, upper, scale = np.array([0.0, -1.0]), np.array([1.0, 1.0]), np.array([0.1, 0.1])
         x0 = np.array([0.4, 0.0])
