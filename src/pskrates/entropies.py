@@ -144,7 +144,9 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   twice the last, run until phi changes sign; then Anderson-Bjorck regula
 #   falsi (BIT 13, 1973) narrows the bracket. The solve stops once the
 #   Frank-Wolfe gap max_i w_i / q_i - 1 certifies _CERTIFY_BITS as for N=4,
-#   the bracket is within 1e-11 or a step is pinned at the clip. Near
+#   or the bracket is within 1e-11. (At the clip, with phi pointing out, the
+#   gap is at most the clipped weight e^-60, so a step pinned there has
+#   already stopped; one that had not would run to the cap and warn.) Near
 #   a = 1/2 on a near-pure rho_{E|0}, phi can stay at rounding noise of one
 #   sign while the gap stays above tolerance, so that z creeps by steps of
 #   that noise: after _TWO_STATE_MAX_EVAL evaluations the solve stops and
@@ -205,6 +207,25 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   point has the same bits alone (``sandwiched_up_invariant`` solves a
 #   one-row stack) and in the optimizer's grid or polish stencils. The
 #   stacked solve never warns; it reports whether each point certified.
+#
+#   Bracket ranking (the optimizer's grid, a > 1 only): given a stopping
+#   rule, the stacked solve brackets each row's certified entropy at the
+#   start and after every round (``_entropy_bracket``), and a row the rule
+#   names ends there as one that cannot win, uncertified, with the trivial
+#   bound log T = +inf (an entropy of -inf). log T_k >= log T*,
+#   so H_k = log2 N + log T_k / ((1-a) ln 2) lies below it. The Frank-Wolfe
+#   gap bounds T_k - T* by (a-1) T_k G+ with G+ = max_i (r_i - 1 + floor_i):
+#   the floor is added here, as the bound must hold for the exact residual,
+#   where the stopping test subtracts it. So the entropy lies below
+#   H_k - log1p(-(a-1) G+) / ((a-1) ln 2), and nowhere is excluded once
+#   (a-1) G+ >= 1. Both sides carry the merit's rounding
+#   noise / ((a-1) ln 2): the line search accepts steps within it. On a
+#   2400-point scan of the optimizer's box, H_k alone lay up to 5.7e-11
+#   bits above the certified value and the bound with the floor subtracted
+#   up to 4.0e-11 bits below it, both near a - 1 = 1e-5; with the rounding
+#   and the floor added, every iterate's bracket held, by at least 4.0e-15
+#   bits below and 2.2e-14 bits above. The rule sees the brackets of every
+#   row, ended or not; a row it spares keeps the bits it has alone.
 # ---------------------------------------------------------------------------
 
 #: Log-odds clip of both invariant solves, and the bracket that ends the two-state solve.
@@ -286,8 +307,6 @@ def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
         sec = fb * (zb - zo) / (fo - fb) if fo != fb else 0.0
         step = min(abs(sec) if sec * fb > 0.0 else abs(fb), 2.0 * abs(zb - zo))
         z = min(max(zb + math.copysign(step, fb), -_LOGODDS_CLIP), _LOGODDS_CLIP)
-        if z == zb:
-            break
         merit, fc, gap = evaluate(z)
         evaluations += 1
         if fc * fb < 0.0:
@@ -319,7 +338,6 @@ def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple:
             step = np.minimum(np.where(sec * fb > 0.0, np.abs(sec), np.abs(fb)),
                               2.0 * np.abs(zb - zo))
             z = np.clip(zb + np.copysign(step, fb), -_LOGODDS_CLIP, _LOGODDS_CLIP)
-            live, z, zb, fb, za, fa = (v[z != zb] for v in (live, z, zb, fb, za, fa))
             merit[live], fc, gap = _two_state_merit(*(v[live] for v in args), np)[0](z)
             flip, m = fc * fb < 0.0, 1.0 - fc / fb
             fa = np.where(flip, fb, fa * np.where(m > 0.0, m, 0.5))
@@ -429,10 +447,11 @@ def _warn_uncertified(solve: str, a: float, gap: float, test: str, stacklevel: i
                   "returning best value found", ConvergenceWarning, stacklevel=stacklevel + 1)
 
 
-def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple:
+def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray, stop=None) -> tuple:
     """Certified opt_q log tr[(D rho0 D)^a] (min for a > 1, max below) at each N x N of a (G, N, N)
-    stack with (G,) orders: log T, whether it certified, and the gap. A zero row of rho0 adds
-    nothing to M and gets zero weight; points with as many nonzero rows are solved together."""
+    stack with (G,) orders: log T, whether it certified, and the gap; ``stop`` (``_newton_solves``)
+    gets the stack's row indices first. A zero row of rho0 adds nothing to M and gets zero weight;
+    points with as many nonzero rows are solved together."""
     p = np.diagonal(rho0s, axis1=1, axis2=2)
     perm = np.argsort(-p, axis=1, kind="stable")
     sizes = (p > 0.0).sum(axis=1)
@@ -442,18 +461,29 @@ def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple:
         keep = perm[group, :k]
         log_t[group], gap[group] = _newton_solves(
             rho0s[group[:, None, None], keep[:, :, None], keep[:, None, :]],
-            np.take_along_axis(p[group], keep, axis=1), orders[group], rho0s.shape[1])
+            np.take_along_axis(p[group], keep, axis=1), orders[group], rho0s.shape[1],
+            stop and functools.partial(stop, group))
     return log_t, gap <= _CERTIFY_BITS * LN2, gap
 
 
-def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
+def _entropy_bracket(it: _Iterate, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bits below and above the certified entropy of each a > 1 iterate (see ``_LOGODDS_CLIP``)."""
+    scale = (a - 1.0) * LN2
+    h, rounding = math.log2(n) - it.merit / scale, it.noise / scale
+    excess = np.minimum((a - 1.0) * (it.kkt + it.floor).max(axis=1), 1.0)
+    with np.errstate(divide="ignore"):
+        return h - rounding, h - np.log1p(-excess) / scale + rounding
+
+
+def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray, n: int,
+                   stop=None) -> tuple[np.ndarray, np.ndarray]:
     """The Newton solves on a (G, k, k) stack of supports, in step: log T and the gap.
 
     rho holds each rho0 on its support, by decreasing diagonal p (q_0 is the reference weight);
     n is the dimension of rho0. Each round takes one stacked eigh for the trial points of every
     live solve and one for the Newton steps of those that moved. Each point keeps its own start,
     line search, iteration count and certificate, so its bits do not depend on the other rows.
+    ``stop`` (a > 1) maps the rows' ``_entropy_bracket`` to those that end at log T = +inf.
     """
     g, k = p.shape
     c, sense = (1.0 - a) / (2.0 * a), np.where(a > 1.0, 1.0, -1.0)
@@ -499,8 +529,11 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
     slope, step = np.zeros(g), np.zeros((g, k - 1))
     tau, steps = np.ones(g), np.zeros(g, dtype=int)
     fresh = (it.gap > tol) & (_NEWTON_MAX_ITER > 0)  # solves that need a Newton step
-    searching = np.zeros(g, dtype=bool)  # solves in a line search
+    searching, pruned = np.zeros(g, dtype=bool), np.zeros(g, dtype=bool)  # in a line search; ended
     while True:
+        if stop is not None:
+            pruned |= (it.gap > tol) & stop(*_entropy_bracket(it, a, n))
+            fresh, searching = fresh & ~pruned, searching & ~pruned
         moving = np.flatnonzero(fresh)
         slope[moving], step[moving], searching[moving] = newton_steps(
             moving, _Iterate(*(field[moving] for field in it)))
@@ -519,7 +552,7 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray,
         searching[moved] = False
         tau[stuck] *= 0.5
         searching[stuck] = tau[stuck] >= 1e-10
-    return sense * it.merit, it.gap
+    return np.where(pruned, np.inf, sense * it.merit), it.gap
 
 
 def _check_sandwiched_up_order(a: float) -> float:
@@ -579,19 +612,22 @@ def sandwiched_up_invariant_pairs(ensembles: Sequence[CQEnsemble], orders) -> np
     return _invariant_values(np.array([e.rho0 for e in ensembles]), np.asarray(orders, float))
 
 
-def sandwiched_up_invariant_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
-    """``sandwiched_up_invariant_pairs`` at every (ensemble, order) pair, shape (A, O)."""
+def sandwiched_up_invariant_grid(ensembles: Sequence[CQEnsemble], orders, stop=None) -> np.ndarray:
+    """``sandwiched_up_invariant_pairs`` at every (ensemble, order) pair, shape (A, O). For N=4
+    and a > 1, ``stop`` may end rows of the flattened grid early (``_newton_solves``): -inf."""
     orders = np.asarray(orders, dtype=float)
     rho0s = np.repeat([e.rho0 for e in ensembles], orders.size, axis=0)
-    return _invariant_values(rho0s, np.tile(orders, len(ensembles))).reshape(len(ensembles), -1)
+    return _invariant_values(rho0s, np.tile(orders, len(ensembles)),
+                             stop).reshape(len(ensembles), -1)
 
 
-def _invariant_values(rho0s: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _invariant_values(rho0s: np.ndarray, orders: np.ndarray, stop=None) -> np.ndarray:
     if not np.all(np.isfinite(orders) & (orders >= 0.5) & (orders != 1.0)):
         raise ValueError("optimized sandwiched entropy needs finite orders a >= 1/2, a != 1")
     n = rho0s.shape[-1]
-    log_t, certified, *_ = (_two_state_log_traces if n == 2 else _newton_log_traces)(rho0s, orders)
-    log_t[~certified] = np.nan
+    solve = _two_state_log_traces if n == 2 else functools.partial(_newton_log_traces, stop=stop)
+    log_t, certified, *_ = solve(rho0s, orders)
+    log_t[~certified & (log_t < np.inf)] = np.nan  # a row ``stop`` ended stays +inf
     return math.log2(n) + log_t / (LN2 * (1.0 - orders))
 
 

@@ -142,10 +142,11 @@ def sample_heterodyne_qpsk(cfg: McConfig) -> McReport:
     for k in range(4):
         center = 1j**k * np.exp(1j * np.pi / 4.0) * math.sqrt(p.eta) * p.alpha
         z = normals(philox(cfg.seed, stream=k), 2 * cfg.shots)
-        re = center.real + scale * z[: cfg.shots]
-        im = center.imag + scale * z[cfg.shots :]
-        # quadrants (+,+) (-,+) (-,-) (+,-) map to y = 0..3
-        y = np.where(im > 0.0, np.where(re > 0.0, 0, 1), np.where(re > 0.0, 3, 2))
+        # quadrants (+,+) (-,+) (-,-) (+,-) map to y = 0..3, in uint8: 2 on or below the real
+        # axis, plus 1 where exactly one of the two parts is positive
+        right = center.real + scale * z[: cfg.shots] > 0.0
+        up = center.imag + scale * z[cfg.shots :] > 0.0
+        y = (~up).view(np.uint8) * np.uint8(2) + (up ^ right).view(np.uint8)
         counts[:, k] = np.bincount(y, minlength=4)
     return _report(counts, cfg.shots, np.asarray(cond_prob_table(p)))
 

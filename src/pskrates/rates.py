@@ -227,11 +227,16 @@ def optimize_rate(
     rate's rounding ``_ROUNDING`` (1 + 1/(a - 1)), its first model fitted to
     the winner's 3 x 3 block of grid values (AEP has no order). Every value
     reported comes from ``entropy_fn``, or for QPSK S from the stacked solve
-    that has its bits, which then scores the grid and each polish stencil's
-    unseen points in one call. A term is computed once per point and call
-    (it does not depend on n), so a rate is never below the winner's, and a
-    result equals that of a one-n, one-estimator call bit for bit. Each
-    amplitude's ensemble, leak and continuity terms serve every estimator.
+    that has its bits, which also scores each polish stencil's unseen points
+    in one call. QPSK S ranks its grid by certified brackets: the grid solve
+    stops a point once its rate bracket lies below another's bracket bottom
+    at every n, by more than both points' rounding and 1e-12 bits, and one
+    more call certifies the stopped points of the winners' blocks, so each
+    winner and first model is that of a fully certified grid. A term is
+    computed once per point and call (it does not depend on n), so a rate
+    is never below the winner's, and a result equals that of a one-n,
+    one-estimator call bit for bit. Each amplitude's ensemble, leak and
+    continuity terms serve every estimator.
 
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
@@ -272,9 +277,24 @@ def optimize_rate(
     exact = {spec.name for spec in specs
              if spec.entropy_fn == "sandwiched_up_invariant" and n_states == 4}
 
-    def remember(spec: Estimator, points, values) -> None:  # a NaN is left to ``term``
+    def remember(spec: Estimator, points, values) -> None:  # NaN is left to ``term``, -inf out
         terms.update(((spec.name, alpha, log_a), (1.0 + math.exp(log_a), h, []))
-                     for (alpha, log_a), h in zip(points, values) if h == h)
+                     for (alpha, log_a), h in zip(points, values) if math.isfinite(h))
+
+    def solve_unseen(spec: Estimator, points: list) -> None:  # in one stacked solve
+        new = [p for p in points if (spec.name, *p) not in terms] if spec.name in exact else []
+        if new:
+            remember(spec, new, entropies.sandwiched_up_invariant_pairs(
+                [amplitude(alpha)[0] for alpha, _ in new],
+                [1.0 + math.exp(log_a) for _, log_a in new]).tolist())
+
+    def lead(points: list, orders, h: np.ndarray, rate_at) -> tuple:
+        # the grid's scores, its winner (max by value, ties to the smallest parameters) and the
+        # corner of the winner's 3 x 3 block (3 x 1 for AEP), shifted into the grid
+        scores = rate_at(h, orders, np.array([[amplitude(alpha)[1]] for alpha in alphas]))
+        best = np.lexsort([*np.array(points).T[::-1], -scores.ravel()])[0]
+        return scores, best, [max(min(k - 1, size - 3), 0)
+                              for k, size in zip(divmod(best, scores.shape[1]), scores.shape)]
 
     def rank(spec: Estimator, log_a_hi: float | None) -> tuple:
         """The grid points and their entropy terms; NaNs of the hook come from ``term``."""
@@ -282,27 +302,47 @@ def optimize_rate(
                   else [None])
         orders = np.array([1.0 + math.exp(log_a) for log_a in log_as]) if spec.takes_order else None
         ensembles = [amplitude(alpha)[0] for alpha in alphas]
-        h = np.array(getattr(entropies, spec.grid_fn)(ensembles, orders))  # a copy
+        leaks = np.array([amplitude(alpha)[1] for alpha in alphas])
+        rate_ats = [spec.rate_at(base.n, eps, eps_prime, n_states) for base in bases]
+
+        def stop(rows: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+            # rows of the flattened grid whose rate bracket's top is short of a bracket bottom at
+            # every n, by more than both points' rounding and the certified 1e-12 bits
+            a, leak_rows = orders[rows % GRID_POINTS], leaks[rows // GRID_POINTS]
+            slack = _ROUNDING * (1.0 + 1.0 / (a - 1.0)) + entropies._CERTIFY_BITS / 2.0
+            return np.all([rate_at(upper, a, leak_rows) + slack
+                           < (rate_at(lower, a, leak_rows) - slack).max() for rate_at in rate_ats],
+                          axis=0)
+
+        rule = (stop,) if spec.name in exact else ()
+        h = np.array(getattr(entropies, spec.grid_fn)(ensembles, orders, *rule))  # a copy
         points = [(alpha, log_a) if spec.takes_order else (alpha,)
                   for alpha in alphas for log_a in log_as]
+        warned = []  # (alpha, a, message) of the terms left NaN, in grid order (block rows last)
+
+        def fill() -> None:
+            for i, j in zip(*np.nonzero(np.isnan(h))):
+                a, h[i, j], messages = term(spec, alphas[i], log_as[j])
+                warned.extend((alphas[i], a, message) for message in messages)
+
         if spec.name in exact:
             remember(spec, points, h.ravel().tolist())
-        warned = []  # (alpha, a, message) of the terms the hook left NaN, in grid order
-        for i, j in zip(*np.nonzero(np.isnan(h))):
-            a, h[i, j], messages = term(spec, alphas[i], log_as[j])
-            warned += [(alphas[i], a, message) for message in messages]
+        fill()
+        if rule:  # the rows the solve stopped in a winner's block, certified in one stacked call
+            for rate_at in rate_ats:
+                i, j = lead(points, orders, h, rate_at)[2]
+                block = h[i:i + 3, j:j + 3]  # a view
+                block[np.isneginf(block)] = np.nan
+            solve_unseen(spec, [p for p, cut in zip(points, np.isnan(h).ravel().tolist()) if cut])
+            fill()
         return log_a_hi, points, orders, h, warned
 
     def search(spec: Estimator, grid: tuple, n: float) -> RateResult:
         log_a_hi, points, orders, h, warned = grid
         warned = list(warned)  # plus the polish's evaluations of this n
         rate_at = spec.rate_at(n, eps, eps_prime, n_states)
-        scores = rate_at(h, orders, np.array([[amplitude(alpha)[1]] for alpha in alphas]))
-        # deterministic reduction: max by value, ties to smallest parameters
-        best = np.lexsort([*np.array(points).T[::-1], -scores.ravel()])[0]
-        # the first model: the winner's 3 x 3 block (3 x 1 for AEP), shifted into the grid
-        i, j = (max(min(k - 1, size - 3), 0)
-                for k, size in zip(divmod(best, scores.shape[1]), scores.shape))
+        scores, best, (i, j) = lead(points, orders, h, rate_at)
+        # the first model: the winner's block of grid values
         block = np.array(points).reshape(*scores.shape, -1)[i:i + 3, j:j + 3]
         box = np.array([(lo, hi), (math.log(A_MIN_OFFSET), log_a_hi)][:block.shape[-1]])
         grid_step = (box[:, 1] - [lo, log_a_lo][:len(box)]) / (GRID_POINTS - 1)
@@ -314,11 +354,7 @@ def optimize_rate(
 
         def objective(x: np.ndarray) -> list[float]:  # the rates of an (m, d) array of points
             points = x.tolist()
-            new = [p for p in points if (spec.name, *p) not in terms] if spec.name in exact else []
-            if new:  # the points not yet scored, in one stacked solve
-                remember(spec, new, entropies.sandwiched_up_invariant_pairs(
-                    [amplitude(alpha)[0] for alpha, _ in new],
-                    [1.0 + math.exp(log_a) for _, log_a in new]).tolist())
+            solve_unseen(spec, points)
             return [rate(*point) for point in points]
 
         def noise(x: np.ndarray) -> float:  # a rate's rounding, and log T / (1 - a)'s

@@ -20,13 +20,14 @@ def random_protocol(rng, n_states, alpha_range=(0.0, 3.0), eta_range=(0.0, 1.0))
 def score_grid_point_by_point(monkeypatch):
     """Make S score every grid point through ``sandwiched_up_invariant``.
 
-    S's grid hook then returns NaN everywhere, so a stub of
+    S's grid hook then returns NaN everywhere and stops no row, so a stub of
     ``sandwiched_up_invariant`` also scores the grid and its warnings at
     grid points reach ``optimize_rate``; the array solve that ranks the grid
     otherwise never warns.
     """
     monkeypatch.setattr(entropies, "sandwiched_up_invariant_grid",
-                        lambda ensembles, orders: np.full((len(ensembles), len(orders)), np.nan))
+                        lambda ensembles, orders, stop=None:
+                        np.full((len(ensembles), len(orders)), np.nan))
 
 
 def cap_polish(monkeypatch):

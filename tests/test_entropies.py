@@ -480,6 +480,46 @@ class TestSandwichedUpInvariant:
             if not caught:
                 assert alone == value == grid
 
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_rank_one_closed_form(self, n_states):
+        # at alpha = 10, eta = 0.9 the contrast rounds to 1, so rho0 is
+        # sqrt(m) sqrt(m)^T (to its det test for N=2) and the optimum is
+        # log2 N + a / (1 - a) log2 |m|_p with p = a / (2a - 1); orders at
+        # a = 1/2 and just above it are ROADMAP direction 1
+        ensemble = build_ensemble(ProtocolParams(n_states, 10.0, 0.9))
+        m = np.diag(ensemble.rho0)
+        assert ensemble.params.contrast == 1.0
+        for a in (0.500001, 0.51, 0.6, 0.9, 1.00001, 1.001, 1.5, 4.0, 16.0, 64.0):
+            p = a / (2.0 * a - 1.0)
+            log_norm = math.log2(m.max()) + math.log2(float(((m / m.max()) ** p).sum())) / p
+            want = math.log2(n_states) + a / (1.0 - a) * log_norm
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sandwiched_up_invariant(ensemble, a)
+            assert abs(got - want) <= 4e-15 * (1.0 + 1.0 / abs(a - 1.0))
+
+    def test_four_state_brackets_hold_at_every_iterate(self):
+        # the stopping rule's brackets: at every iterate of the stacked solve,
+        # the bottom is at most the certified value and the top at least it,
+        # on the optimizer's box with eta at both ends (a 2400-point scan
+        # found margins of at least 4.0e-15 and 2.2e-14 bits)
+        rng = philox_rng(2027)
+        etas = rng.uniform(0.0, 1.0, 160).tolist() + [0.0] * 20 + [1.0 - 1e-9] * 20
+        rho0s = np.array([build_ensemble(ProtocolParams(4, rng.uniform(0.05, 3.0), eta)).rho0
+                          for eta in etas])
+        orders = 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(63.0), len(etas))
+        brackets = []
+
+        def record(rows, lower, upper):
+            brackets.append((rows, lower, upper))
+            return np.zeros(rows.size, dtype=bool)
+
+        log_t, certified, _ = entropies._newton_log_traces(rho0s, orders, record)
+        assert certified.all() and len(brackets) > 10
+        value = 2.0 + log_t / (math.log(2.0) * (1.0 - orders))
+        for rows, lower, upper in brackets:
+            assert np.all(lower <= value[rows]) and np.all(value[rows] <= upper)
+
     def test_two_state_slope_matches_central_differences(self):
         # d(s log T)/dz = -|a - 1| (w_1 - q_1) with w_1 / w_0 = e^(z + phi);
         # at step 1e-5 the worst relative difference here is 9.0e-9

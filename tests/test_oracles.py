@@ -61,6 +61,17 @@ class TestSamplers:
         assert np.array_equal(sample_heterodyne_qpsk(cfg).counts,
                               sample_heterodyne_qpsk(cfg).counts)
 
+    def test_counts_at_the_cli_seed_are_pinned(self):
+        # the verify command's default seed and protocol point, at 1e5 shots
+        def counts(sampler, n_states):
+            params = ProtocolParams(n_states, 1.0, 0.9)
+            return sampler(McConfig(shots=100_000, seed=20250101, params=params)).counts.tolist()
+
+        assert counts(sample_homodyne_bpsk, 2) == [[97079, 2893], [2921, 97107]]
+        assert counts(sample_heterodyne_qpsk, 4) == [
+            [68403, 14227, 2988, 14212], [14395, 68589, 13941, 2947],
+            [2841, 14312, 68921, 14095], [14361, 2872, 14150, 68746]]
+
     def test_counts_account_for_every_shot(self):
         cfg = McConfig(shots=10_000, seed=1, params=ProtocolParams(4, 0.7, 0.5))
         report = sample_heterodyne_qpsk(cfg)

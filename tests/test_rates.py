@@ -312,25 +312,68 @@ class TestOptimizeRate:
         assert scalar <= 100
 
     def test_qpsk_s_grid_is_one_array_solve(self, monkeypatch):
-        # one 625-row stacked Newton solve ranks the grid; each polish
-        # stencil and trial point runs the same solve on its unseen points,
-        # and no (rho0, order) point is solved twice in one call
+        # one 625-row stacked Newton solve ranks the grid, and stops the rows
+        # whose brackets cannot win; one more call certifies those in a
+        # winner's 3 x 3 block. Each polish stencil and trial point runs the
+        # same solve on its unseen points, and no (rho0, order) point is
+        # solved twice in one call, except a re-solved block row
         solve, calls = entropies._newton_log_traces, []
 
-        def counted(rho0s, orders):
-            calls.append([(rho0.tobytes(), a) for rho0, a in zip(rho0s, orders.tolist())])
-            return solve(rho0s, orders)
+        def counted(rho0s, orders, stop=None):
+            out = solve(rho0s, orders, stop)
+            calls.append(([(rho0.tobytes(), a) for rho0, a in zip(rho0s, orders.tolist())],
+                          stop is not None, np.isinf(out[0])))
+            return out
 
         monkeypatch.setattr(entropies, "_newton_log_traces", counted)
         optimize_rate("S", 4, 0.9, [316.23, 1e4, 1e8])
-        assert [len(rows) for rows in calls if len(rows) >= 10] == [625]
-        assert len(calls[0]) == 625 and len(calls) > 1
-        solved = [point for rows in calls for point in rows]
-        assert len(set(solved)) == len(solved)
+        (grid, ruled, pruned), (block, *_) = calls[:2]
+        assert len(grid) == 625 and ruled and pruned.any()
+        assert not any(ruled for _, ruled, _ in calls[1:])
+        assert [len(rows) for rows, *_ in calls[1:] if len(rows) >= 10] == [len(block)]
+        assert set(block) <= {row for row, cut in zip(grid, pruned) if cut}
+        assert len(block) <= 27 and len(set(block)) == len(block)
+        solved = [point for rows, *_ in calls for point in rows]
+        assert len(solved) - len(set(solved)) == len(block)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99])
+    def test_stopping_rule_changes_no_result(self, eta, monkeypatch):
+        # the grid solve's brackets stop only rows that cannot win: every
+        # result equals the one with the rule patched out
+        ns = [316.23, 1e4, 1e8]
+        ruled = [optimize_rate("S", 4, eta, ns, a_max=a_max) for a_max in (4.0, 64.0)]
+        solve = entropies._newton_log_traces
+        monkeypatch.setattr(entropies, "_newton_log_traces",
+                            lambda rho0s, orders, stop=None: solve(rho0s, orders))
+        assert ruled == [optimize_rate("S", 4, eta, ns, a_max=a_max) for a_max in (4.0, 64.0)]
+
+    def test_grid_solve_certifies_only_the_contenders(self, monkeypatch):
+        # a deterministic count of the grid solve's row evaluations (2369 when
+        # every grid point was certified)
+        powers, inside, rows = entropies._scaled_powers, [], []
+        grid_fn = entropies.sandwiched_up_invariant_grid
+
+        def counted(m, a, n):
+            if inside:
+                rows.append(len(a))
+            return powers(m, a, n)
+
+        def grid(*args):
+            inside.append(True)
+            try:
+                return grid_fn(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(entropies, "_scaled_powers", counted)
+        monkeypatch.setattr(entropies, "sandwiched_up_invariant_grid", grid)
+        optimize_rate("S", 4, 0.9, [1e4])
+        assert rows[0] == 625 and sum(rows) < 1000
 
     def test_uncertified_grid_points_fall_back_to_single_solves(self, monkeypatch):
         # with no Newton step allowed, no grid point certifies in the array
-        # solve; each one is then solved alone, warns and names its point
+        # solve, and the rows whose start brackets cannot win stop there
+        # (-inf); each other point is then solved alone, warns and is named
         # exactly as when the whole grid is scored point by point
         monkeypatch.setattr(entropies, "_NEWTON_MAX_ITER", 0)
         grid_fn = entropies.sandwiched_up_invariant_grid
@@ -345,16 +388,29 @@ class TestOptimizeRate:
             return results, [str(w.message) for w in caught
                              if issubclass(w.category, entropies.ConvergenceWarning)]
 
+        def counts(messages):
+            return np.array([int(m.split(": ")[1].split()[0]) for m in messages])
+
         ranked = run()
-        assert len(ranks) == 1 and np.isnan(ranks[0]).all()
+        [rank] = ranks
+        assert not np.isfinite(rank).any() and np.isnan(rank).any() and np.isneginf(rank).any()
         score_grid_point_by_point(monkeypatch)
-        assert run() == ranked
+        pointwise = run()
         results, messages = ranked
+        assert results == pointwise[0]
         assert [r.converged for r in results] == [False, False]
         assert [m.split(":")[0] for m in messages] == ["S rate at n=10000", "S rate at n=1e+06"]
-        assert all("first at alpha=0.05, a=1.00001 " in m for m in messages)
-        # every one of the 625 grid points warned, at both block sizes
-        assert all(int(m.split(": ")[1].split()[0]) >= 625 for m in messages)
+        # the first survivor in grid order is named first, with its own warning
+        i, j = np.argwhere(np.isnan(rank))[0].tolist()
+        alpha = np.linspace(0.05, 3.0, 25)[i]
+        a = 1.0 + math.exp(np.linspace(math.log(1e-5), math.log(3.0), 25)[j])
+        with pytest.warns(entropies.ConvergenceWarning) as record:
+            entropies.sandwiched_up_invariant(build_ensemble(ProtocolParams(4, alpha, 0.9)), a)
+        assert all(f"first at {rates._at(alpha, a)} ({record[0].message})" in m for m in messages)
+        # the stopped rows, less the winners' re-solved blocks, no longer warn
+        assert all("first at alpha=0.05, a=1.00001 " in m for m in pointwise[1])
+        [fewer] = set(counts(pointwise[1]) - counts(messages))
+        assert 0 <= np.isneginf(rank).sum() - fewer <= 18 and all(counts(messages) >= 1)
 
     @pytest.mark.parametrize("n_states", [2, 4])
     @pytest.mark.parametrize("estimator", ["S", "AEP", "B"])
