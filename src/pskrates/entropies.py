@@ -142,10 +142,10 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   of positive terms. From the N=4 start, secant steps on phi (z + phi,
 #   the step q <- w, first and where the secant points back), each at most
 #   twice the last, run until phi changes sign; then Anderson-Bjorck regula
-#   falsi (BIT 13, 1973) narrows the bracket. The solve stops once the
-#   Frank-Wolfe gap max_i w_i / q_i - 1 certifies _CERTIFY_BITS as for N=4,
-#   or the bracket is within 1e-11. (At the clip, with phi pointing out, the
-#   gap is at most the clipped weight e^-60, so a step pinned there has
+#   falsi (BIT 13, 1973) narrows the bracket. The solve stops only once the
+#   Frank-Wolfe gap max_i w_i / q_i - 1 certifies _CERTIFY_BITS as for N=4:
+#   a narrow bracket is no certificate. (At the clip, with phi pointing out,
+#   the gap is at most the clipped weight e^-60, so a step pinned there has
 #   already stopped; one that had not would run to the cap and warn.) Near
 #   a = 1/2 on a near-pure rho_{E|0}, phi can stay at rounding noise of one
 #   sign while the gap stays above tolerance, so that z creeps by steps of
@@ -200,10 +200,12 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   that the support cut creates, so a < 1 starts from diag(rho_E) instead.
 #
 #   One solve serves one point and a stack of points alike: it runs every
-#   point's Newton solve together on a (G, k, k) stack (``_newton_solves``),
-#   each point with its own line search, iteration count and certificate; a
-#   weight pinned by its floor keeps a zeroed row and column in the stacked
-#   Hessian. A row's arithmetic does not depend on the other rows, so a
+#   point's Newton solve together on a (G, N, N) stack
+#   (``_newton_log_traces``), each point with its own line search, iteration
+#   count and certificate; a weight pinned by its floor keeps a zeroed row
+#   and column in the stacked Hessian. A zero diagonal entry of rho_{E|0}
+#   (a zero row) starts on the clip, where its floor pins it as it pins any
+#   tiny weight. A row's arithmetic does not depend on the other rows, so a
 #   point has the same bits alone (``sandwiched_up_invariant`` solves a
 #   one-row stack) and in the optimizer's grid or polish stencils. The
 #   stacked solve never warns; it reports whether each point certified.
@@ -218,8 +220,10 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   the floor is added here, as the bound must hold for the exact residual,
 #   where the stopping test subtracts it. So the entropy lies below
 #   H_k - log1p(-(a-1) G+) / ((a-1) ln 2), and nowhere is excluded once
-#   (a-1) G+ >= 1. Both sides carry the merit's rounding
-#   noise / ((a-1) ln 2): the line search accepts steps within it. On a
+#   (a-1) G+ >= 1. A zero row of rho_{E|0} has r_i = 0 exactly, so G+ leaves
+#   out its floor, which the clipped weight makes ~1e11. Both sides carry
+#   the merit's rounding noise / ((a-1) ln 2): the line search accepts
+#   steps within it. On a
 #   2400-point scan of the optimizer's box, H_k alone lay up to 5.7e-11
 #   bits above the certified value and the bound with the floor subtracted
 #   up to 4.0e-11 bits below it, both near a - 1 = 1e-5; with the rounding
@@ -228,9 +232,8 @@ def sandwiched_down_cq(ensemble: CQEnsemble, a: float) -> float:
 #   row, ended or not; a row it spares keeps the bits it has alone.
 # ---------------------------------------------------------------------------
 
-#: Log-odds clip of both invariant solves, and the bracket that ends the two-state solve.
+#: Log-odds clip of both invariant solves.
 _LOGODDS_CLIP = 60.0
-_LOGODDS_TOL = 1e-11
 
 #: Entropy error (bits) both Newton solves certify, and their iteration cap.
 _CERTIFY_BITS = 1e-12
@@ -296,7 +299,7 @@ def _two_state_log_trace(rho0: np.ndarray, a: float) -> float:
     za = fa = math.nan  # the other end of the bracket: NaN until phi changes sign
     zp, fp = zb + fb, 0.0  # the last point: the first secant step is z + phi
     evaluations = 1
-    while gap > _CERTIFY_BITS * LN2 and not abs(za - zb) <= _LOGODDS_TOL:
+    while gap > _CERTIFY_BITS * LN2:
         if evaluations == _TWO_STATE_MAX_EVAL:
             warnings.warn(f"two-state root solve at a={a:.6g} did not certify in {evaluations} "
                           f"evaluations: phi {fb:.3g}, Frank-Wolfe gap {gap:.3g} above "
@@ -342,7 +345,7 @@ def _two_state_log_traces(rho0s: np.ndarray, orders: np.ndarray) -> tuple:
             flip, m = fc * fb < 0.0, 1.0 - fc / fb
             fa = np.where(flip, fb, fa * np.where(m > 0.0, m, 0.5))
             za, zp, fp, zb, fb = np.where(flip, zb, za), zb, fb, z, fc
-            running = (gap > _CERTIFY_BITS * LN2) & ~(np.abs(za - zb) <= _LOGODDS_TOL)
+            running = gap > _CERTIFY_BITS * LN2
             live, zb, fb, za, fa, zp, fp = (v[running] for v in (live, zb, fb, za, fa, zp, fp))
     return sense * merit, np.bincount(live, minlength=merit.size) == 0
 
@@ -367,48 +370,32 @@ def _power_divided_differences(x: np.ndarray, a) -> np.ndarray:
 
 
 class _ScaledPower(NamedTuple):
-    """tr(M^a) of a PSD M from its scaled spectrum, and its rounding."""
+    """tr(M^a) of PSD matrices M from their scaled spectra, and its rounding: one entry (or row)
+    per matrix."""
 
-    top: float  # lam_max
+    top: np.ndarray  # lam_max
     x: np.ndarray  # eigenvalues of M / lam_max, zero at or below the cut
     v: np.ndarray
     xa: np.ndarray
-    t: float  # tr (M / lam_max)^a
-    log_t: float  # log tr(M^a)
-    noise: float  # rounding of log_t
-    eps: float  # rounding of the entries of (M / lam_max)^a
-
-
-def _scaled_power(m: np.ndarray, a: float, n: int) -> _ScaledPower:
-    """Scaled spectrum of M and the rounding bounds of its power (n: dimension).
-
-    Eigenvalues at or below ``SUPPORT_CUTOFF`` times the largest count as zero: x is scaled to a
-    top of 1, so the cut needs no ``linalg.on_support`` and its max. The entry bound is L n^2 u
-    with L the largest divided difference of x^a on the kept spectrum (see ``_LOGODDS_CLIP``).
-    """
-    lam, v = np.linalg.eigh(m)
-    x = lam / lam[-1]
-    x[x <= linalg.SUPPORT_CUTOFF] = 0.0
-    xa = x**a
-    t = float(xa.sum())
-    lipschitz = a if a > 1.0 else a * float(x[x > 0.0].min()) ** (a - 1.0)
-    eps = lipschitz * n * n * _UNIT_ROUNDOFF
-    log_scale, log_t = math.log(lam[-1]), math.log(t)
-    return _ScaledPower(float(lam[-1]), x, v, xa, t, a * log_scale + log_t,
-                        _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps, eps)
+    t: np.ndarray  # tr (M / lam_max)^a
+    log_t: np.ndarray  # log tr(M^a)
+    noise: np.ndarray  # rounding of log_t
+    eps: np.ndarray  # rounding of the entries of (M / lam_max)^a
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
-    """math.log of each entry, as ``_scaled_power`` takes it: numpy's log may differ in the last
-    ulp, and near a = 1 an ulp of log T is 1e-11 bits of entropy."""
+    """math.log of each entry: numpy's log may differ from it in the last ulp, and near a = 1 an
+    ulp of log T is 1e-11 bits of entropy."""
     return np.array([math.log(v) for v in x.tolist()])
 
 
 def _scaled_powers(m: np.ndarray, a: np.ndarray, n: int) -> _ScaledPower:
-    """``_scaled_power`` of each matrix of a (G, n, n) stack, with (G,) orders: one stacked eigh.
+    """Scaled spectra of a (G, n, n) stack of PSD M with (G,) orders, from one stacked eigh, and
+    the rounding bounds of their powers (n: dimension); all are each matrix's own.
 
-    Every field holds one entry (or row) per point; the cut, the Lipschitz
-    constant and the rounding bounds are each point's own.
+    Eigenvalues at or below ``SUPPORT_CUTOFF`` times the largest count as zero: x is scaled to a
+    top of 1, so the cut needs no ``linalg.on_support`` and its max. The entry bound is L n^2 u
+    with L the largest divided difference of x^a on the kept spectrum (see ``_LOGODDS_CLIP``).
     """
     lam, v = np.linalg.eigh(m)
     top = lam[:, -1]
@@ -447,45 +434,32 @@ def _warn_uncertified(solve: str, a: float, gap: float, test: str, stacklevel: i
                   "returning best value found", ConvergenceWarning, stacklevel=stacklevel + 1)
 
 
-def _newton_log_traces(rho0s: np.ndarray, orders: np.ndarray, stop=None) -> tuple:
-    """Certified opt_q log tr[(D rho0 D)^a] (min for a > 1, max below) at each N x N of a (G, N, N)
-    stack with (G,) orders: log T, whether it certified, and the gap; ``stop`` (``_newton_solves``)
-    gets the stack's row indices first. A zero row of rho0 adds nothing to M and gets zero weight;
-    points with as many nonzero rows are solved together."""
-    p = np.diagonal(rho0s, axis1=1, axis2=2)
-    perm = np.argsort(-p, axis=1, kind="stable")
-    sizes = (p > 0.0).sum(axis=1)
-    log_t, gap = np.empty(p.shape[0]), np.empty(p.shape[0])
-    for k in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == k)
-        keep = perm[group, :k]
-        log_t[group], gap[group] = _newton_solves(
-            rho0s[group[:, None, None], keep[:, :, None], keep[:, None, :]],
-            np.take_along_axis(p[group], keep, axis=1), orders[group], rho0s.shape[1],
-            stop and functools.partial(stop, group))
-    return log_t, gap <= _CERTIFY_BITS * LN2, gap
-
-
-def _entropy_bracket(it: _Iterate, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bits below and above the certified entropy of each a > 1 iterate (see ``_LOGODDS_CLIP``)."""
+def _entropy_bracket(it: _Iterate, a: np.ndarray, n: int, support: np.ndarray) -> tuple:
+    """Bits below and above the certified entropy of each a > 1 iterate (see ``_LOGODDS_CLIP``);
+    ``support`` marks the nonzero rows of rho0, whose r_i alone can exceed 1."""
     scale = (a - 1.0) * LN2
     h, rounding = math.log2(n) - it.merit / scale, it.noise / scale
-    excess = np.minimum((a - 1.0) * (it.kkt + it.floor).max(axis=1), 1.0)
+    excess = np.minimum((a - 1.0) * np.where(support, it.kkt + it.floor, -1.0).max(axis=1), 1.0)
     with np.errstate(divide="ignore"):
         return h - rounding, h - np.log1p(-excess) / scale + rounding
 
 
-def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray, n: int,
-                   stop=None) -> tuple[np.ndarray, np.ndarray]:
-    """The Newton solves on a (G, k, k) stack of supports, in step: log T and the gap.
+def _newton_log_traces(rho0s: np.ndarray, a: np.ndarray, stop=None) -> tuple:
+    """Certified opt_q log tr[(D rho0 D)^a] (min for a > 1, max below) at each N x N of a (G, N, N)
+    stack with (G,) orders, all solves in step: log T, whether it certified, and the gap.
 
-    rho holds each rho0 on its support, by decreasing diagonal p (q_0 is the reference weight);
-    n is the dimension of rho0. Each round takes one stacked eigh for the trial points of every
-    live solve and one for the Newton steps of those that moved. Each point keeps its own start,
-    line search, iteration count and certificate, so its bits do not depend on the other rows.
-    ``stop`` (a > 1) maps the rows' ``_entropy_bracket`` to those that end at log T = +inf.
+    Each rho0 is reordered by decreasing diagonal p, so q_0 is the reference weight; a zero row
+    of rho0 adds nothing to M and starts on the log-odds clip, where its rounding floor pins it.
+    Each round takes one stacked eigh for the trial points of every live solve and one for the
+    Newton steps of those that moved. Each point keeps its own start, line search, iteration count
+    and certificate, so its bits do not depend on the other rows. ``stop`` (a > 1) maps the
+    stack's ``_entropy_bracket`` (lower, upper) to the rows that end at log T = +inf.
     """
-    g, k = p.shape
+    g, n = rho0s.shape[:2]
+    p = np.diagonal(rho0s, axis1=1, axis2=2)
+    perm = np.argsort(-p, axis=1, kind="stable")
+    rho = rho0s[np.arange(g)[:, None, None], perm[:, :, None], perm[:, None, :]]
+    p = np.take_along_axis(p, perm, axis=1)
     c, sense = (1.0 - a) / (2.0 * a), np.where(a > 1.0, 1.0, -1.0)
     tol = _CERTIFY_BITS * LN2
 
@@ -510,13 +484,13 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray, n: int,
         ar, cr, sr = a[rows, None, None], c[rows, None, None], sense[rows, None, None]
         kernel = _power_divided_differences(it.x, ar) * (it.x[:, :, None] + it.x[:, None, :])
         vt = it.v.transpose(0, 2, 1)
-        proj = (vt[:, :, :, None] * vt[:, :, None, :]).reshape(rows.size, k, k * k)
-        h_t = (proj * (kernel @ proj)).sum(axis=1).reshape(rows.size, k, k)
+        proj = (vt[:, :, :, None] * vt[:, :, None, :]).reshape(rows.size, n, n * n)
+        h_t = (proj * (kernel @ proj)).sum(axis=1).reshape(rows.size, n, n)
         g_u = 2.0 * a[rows, None] * it.w
         h_u = 2.0 * ar * h_t / it.t[:, None, None] - g_u[:, :, None] * g_u[:, None, :]
         qf = it.q[:, 1:, None]
         h_z = sr * (cr * cr * h_u[:, 1:, 1:]
-                    + (ar - 1.0) * (qf * np.eye(k - 1) - qf * qf.transpose(0, 2, 1)))
+                    + (ar - 1.0) * (qf * np.eye(n - 1) - qf * qf.transpose(0, 2, 1)))
         grad = np.where(free, sr[:, 0] * (1.0 - ar[:, 0]) * (it.w - it.q)[:, 1:], 0.0)
         mu, vec = np.linalg.eigh(np.where(free[:, :, None] & free[:, None, :], h_z, 0.0))
         mu = np.maximum(np.abs(mu), 1e-12 * np.abs(mu).max(axis=1, keepdims=True, initial=0.0))
@@ -524,15 +498,16 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray, n: int,
             step = -vec @ ((vec.transpose(0, 2, 1) @ grad[:, :, None]) / mu[:, :, None])
         return (grad[:, None, :] @ step)[:, 0, 0], step[:, :, 0], free.any(axis=1)
 
-    log_q0 = (a / np.where(a > 1.0, 2.0 * a - 1.0, a))[:, None] * np.log(p)
+    with np.errstate(divide="ignore"):  # a zero weight starts on the clip
+        log_q0 = (a / np.where(a > 1.0, 2.0 * a - 1.0, a))[:, None] * np.log(p)
     it = evaluate(np.arange(g), log_q0[:, 1:] - log_q0[:, :1])
-    slope, step = np.zeros(g), np.zeros((g, k - 1))
+    slope, step = np.zeros(g), np.zeros((g, n - 1))
     tau, steps = np.ones(g), np.zeros(g, dtype=int)
     fresh = (it.gap > tol) & (_NEWTON_MAX_ITER > 0)  # solves that need a Newton step
     searching, pruned = np.zeros(g, dtype=bool), np.zeros(g, dtype=bool)  # in a line search; ended
     while True:
         if stop is not None:
-            pruned |= (it.gap > tol) & stop(*_entropy_bracket(it, a, n))
+            pruned |= (it.gap > tol) & stop(*_entropy_bracket(it, a, n, p > 0.0))
             fresh, searching = fresh & ~pruned, searching & ~pruned
         moving = np.flatnonzero(fresh)
         slope[moving], step[moving], searching[moving] = newton_steps(
@@ -552,7 +527,7 @@ def _newton_solves(rho: np.ndarray, p: np.ndarray, a: np.ndarray, n: int,
         searching[moved] = False
         tau[stuck] *= 0.5
         searching[stuck] = tau[stuck] >= 1e-10
-    return np.where(pruned, np.inf, sense * it.merit), it.gap
+    return np.where(pruned, np.inf, sense * it.merit), it.gap <= tol, it.gap
 
 
 def _check_sandwiched_up_order(a: float) -> float:
@@ -579,8 +554,8 @@ def sandwiched_up_invariant(ensemble: CQEnsemble, a: float) -> float:
 
     * N=2: a bracketed secant and Anderson-Bjorck root solve of the
       closed-form gradient of the 2x2 spectrum in the log domain, which
-      cuts no weight. It stops on the Frank-Wolfe certificate of N=4 or a
-      1e-11 bracket in z, and warns after ``_TWO_STATE_MAX_EVAL`` evaluations.
+      cuts no weight. It stops on the Frank-Wolfe certificate of N=4, and
+      warns after ``_TWO_STATE_MAX_EVAL`` evaluations.
     * N=4: damped Newton with the exact (Daleckii-Krein) Hessian, run by
       ``_newton_log_traces`` on one row. It stops once the Frank-Wolfe gap
       certifies the value to 1e-12 bits: max_i (M^a)_ii / (q_i tr M^a) - 1
@@ -614,7 +589,8 @@ def sandwiched_up_invariant_pairs(ensembles: Sequence[CQEnsemble], orders) -> np
 
 def sandwiched_up_invariant_grid(ensembles: Sequence[CQEnsemble], orders, stop=None) -> np.ndarray:
     """``sandwiched_up_invariant_pairs`` at every (ensemble, order) pair, shape (A, O). For N=4
-    and a > 1, ``stop`` may end rows of the flattened grid early (``_newton_solves``): -inf."""
+    and a > 1, ``stop`` gets the brackets of the flattened grid and may end its rows early
+    (``_newton_log_traces``): -inf."""
     orders = np.asarray(orders, dtype=float)
     rho0s = np.repeat([e.rho0 for e in ensembles], orders.size, axis=0)
     return _invariant_values(rho0s, np.tile(orders, len(ensembles)),
@@ -952,7 +928,7 @@ def sandwiched_down_general(rho, dims: tuple[int, int], a: float) -> float:
 # nears the boundary of the state space. The solve minimizes
 # f(H) = log T / (a - 1) = log tr e^H + log tr N~^a / (a - 1), where
 # N~ = B^dag (1 x e^2cH) B, with the damped Newton method of the invariant
-# solve (``_certified_newton``):
+# solve (``_certified_newton``) and its kernel (``_scaled_powers``, one row):
 # - certificate: T is convex in sigma for a > 1 and concave for
 #   1/2 <= a < 1 (Frank-Lieb 2013), and grad_sigma log T = (1-a) R with, in
 #   the eigenbasis of sigma, R = [f1(s_i, s_j) / 2c] o Q, f1 the divided
@@ -1034,7 +1010,7 @@ class _GeneralIterate(NamedTuple):
     g: np.ndarray  # exp[h_i, h_j] / tr e^H; its diagonal is the spectrum of sigma
     p1: np.ndarray  # exp[y_i, y_j] e^-max(y), y = 2c h
     bv: np.ndarray  # B in the eigenbases of sigma and of N
-    sp: _ScaledPower  # of N, scaled so that its weights are p1_ii
+    sp: _ScaledPower  # of N alone, scaled so that its weights are p1_ii
     q: np.ndarray  # tr_A(B N^(a-1) B^dag) / T, scaled as p1
 
 
@@ -1098,7 +1074,8 @@ def sandwiched_up_general(rho, dims: tuple[int, int], a: float) -> float:
         g = _exp_first_dd(h[:, None] - log_z, h[None, :] - log_z)
         p1 = _exp_first_dd(y[:, None] - y.max(), y[None, :] - y.max())
         bt = np.einsum("ji,ajr->air", u.conj(), b_range)
-        sp = _scaled_power(np.einsum("air,i,ais->rs", bt.conj(), p1.diagonal(), bt), a, rank)
+        n_op = np.einsum("air,i,ais->rs", bt.conj(), p1.diagonal(), bt)
+        sp = _ScaledPower(*(field[0] for field in _scaled_powers(n_op[None], np.array([a]), rank)))
         kept = sp.x > 0.0
         x_kept = np.where(kept, sp.x, 1.0)
         xam1 = np.where(kept, sp.xa / x_kept, 0.0)

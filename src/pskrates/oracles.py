@@ -120,8 +120,8 @@ def sample_homodyne_bpsk(cfg: McConfig) -> McReport:
     scale = 1.0 / math.sqrt(2.0)
     for x in range(2):
         mean = (-1.0) ** x * math.sqrt(2.0 * p.eta) * p.alpha
-        q = mean + scale * normals(philox(cfg.seed, stream=x), cfg.shots)
-        n_plus = int((q > 0.0).sum())
+        # no array outlives the expression, so the next symbol's draw runs without this one's
+        n_plus = int((mean + scale * normals(philox(cfg.seed, stream=x), cfg.shots) > 0.0).sum())
         counts[0, x] = n_plus
         counts[1, x] = cfg.shots - n_plus
     return _report(counts, cfg.shots, np.asarray(cond_prob_table(p)))
@@ -148,6 +148,7 @@ def sample_heterodyne_qpsk(cfg: McConfig) -> McReport:
         up = center.imag + scale * z[cfg.shots :] > 0.0
         y = (~up).view(np.uint8) * np.uint8(2) + (up ^ right).view(np.uint8)
         counts[:, k] = np.bincount(y, minlength=4)
+        del z, right, up, y  # before the next symbol's draw
     return _report(counts, cfg.shots, np.asarray(cond_prob_table(p)))
 
 

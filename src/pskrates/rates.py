@@ -288,11 +288,11 @@ def optimize_rate(
                 [amplitude(alpha)[0] for alpha, _ in new],
                 [1.0 + math.exp(log_a) for _, log_a in new]).tolist())
 
-    def lead(points: list, orders, h: np.ndarray, rate_at) -> tuple:
+    def lead(grid: np.ndarray, leaks: np.ndarray, orders, h: np.ndarray, rate_at) -> tuple:
         # the grid's scores, its winner (max by value, ties to the smallest parameters) and the
         # corner of the winner's 3 x 3 block (3 x 1 for AEP), shifted into the grid
-        scores = rate_at(h, orders, np.array([[amplitude(alpha)[1]] for alpha in alphas]))
-        best = np.lexsort([*np.array(points).T[::-1], -scores.ravel()])[0]
+        scores = rate_at(h, orders, leaks)
+        best = np.lexsort([*grid.T[::-1], -scores.ravel()])[0]
         return scores, best, [max(min(k - 1, size - 3), 0)
                               for k, size in zip(divmod(best, scores.shape[1]), scores.shape)]
 
@@ -302,22 +302,23 @@ def optimize_rate(
                   else [None])
         orders = np.array([1.0 + math.exp(log_a) for log_a in log_as]) if spec.takes_order else None
         ensembles = [amplitude(alpha)[0] for alpha in alphas]
-        leaks = np.array([amplitude(alpha)[1] for alpha in alphas])
+        leaks = np.array([[amplitude(alpha)[1]] for alpha in alphas])  # a column, as h's rows
         rate_ats = [spec.rate_at(base.n, eps, eps_prime, n_states) for base in bases]
 
-        def stop(rows: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-            # rows of the flattened grid whose rate bracket's top is short of a bracket bottom at
-            # every n, by more than both points' rounding and the certified 1e-12 bits
-            a, leak_rows = orders[rows % GRID_POINTS], leaks[rows // GRID_POINTS]
-            slack = _ROUNDING * (1.0 + 1.0 / (a - 1.0)) + entropies._CERTIFY_BITS / 2.0
-            return np.all([rate_at(upper, a, leak_rows) + slack
-                           < (rate_at(lower, a, leak_rows) - slack).max() for rate_at in rate_ats],
-                          axis=0)
+        def stop(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+            # points of the flattened grid whose rate bracket's top is short of a bracket bottom
+            # at every n, by more than both points' rounding and the certified 1e-12 bits
+            lower, upper = lower.reshape(len(alphas), -1), upper.reshape(len(alphas), -1)
+            slack = _ROUNDING * (1.0 + 1.0 / (orders - 1.0)) + entropies._CERTIFY_BITS / 2.0
+            return np.all([rate_at(upper, orders, leaks) + slack
+                           < (rate_at(lower, orders, leaks) - slack).max() for rate_at in rate_ats],
+                          axis=0).ravel()
 
         rule = (stop,) if spec.name in exact else ()
         h = np.array(getattr(entropies, spec.grid_fn)(ensembles, orders, *rule))  # a copy
         points = [(alpha, log_a) if spec.takes_order else (alpha,)
                   for alpha in alphas for log_a in log_as]
+        grid = np.array(points)
         warned = []  # (alpha, a, message) of the terms left NaN, in grid order (block rows last)
 
         def fill() -> None:
@@ -330,20 +331,20 @@ def optimize_rate(
         fill()
         if rule:  # the rows the solve stopped in a winner's block, certified in one stacked call
             for rate_at in rate_ats:
-                i, j = lead(points, orders, h, rate_at)[2]
+                i, j = lead(grid, leaks, orders, h, rate_at)[2]
                 block = h[i:i + 3, j:j + 3]  # a view
                 block[np.isneginf(block)] = np.nan
             solve_unseen(spec, [p for p, cut in zip(points, np.isnan(h).ravel().tolist()) if cut])
             fill()
-        return log_a_hi, points, orders, h, warned
+        return log_a_hi, points, grid, leaks, orders, h, warned
 
-    def search(spec: Estimator, grid: tuple, n: float) -> RateResult:
-        log_a_hi, points, orders, h, warned = grid
+    def search(spec: Estimator, ranked: tuple, n: float) -> RateResult:
+        log_a_hi, points, grid, leaks, orders, h, warned = ranked
         warned = list(warned)  # plus the polish's evaluations of this n
         rate_at = spec.rate_at(n, eps, eps_prime, n_states)
-        scores, best, (i, j) = lead(points, orders, h, rate_at)
+        scores, best, (i, j) = lead(grid, leaks, orders, h, rate_at)
         # the first model: the winner's block of grid values
-        block = np.array(points).reshape(*scores.shape, -1)[i:i + 3, j:j + 3]
+        block = grid.reshape(*scores.shape, -1)[i:i + 3, j:j + 3]
         box = np.array([(lo, hi), (math.log(A_MIN_OFFSET), log_a_hi)][:block.shape[-1]])
         grid_step = (box[:, 1] - [lo, log_a_lo][:len(box)]) / (GRID_POINTS - 1)
 
@@ -389,9 +390,9 @@ def optimize_rate(
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", entropies.ConvergenceWarning)
-        grids = [rank(spec, log_a_hi) for spec, log_a_hi in zip(specs, log_a_his)]
-        results = [search(spec, grid, base.n) for base in bases
-                   for spec, grid in zip(specs, grids)]
+        ranks = [rank(spec, log_a_hi) for spec, log_a_hi in zip(specs, log_a_his)]
+        results = [search(spec, ranked, base.n) for base in bases
+                   for spec, ranked in zip(specs, ranks)]
     for w in caught:
         if not issubclass(w.category, entropies.ConvergenceWarning):
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)

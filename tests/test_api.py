@@ -48,8 +48,8 @@ def test_readme_private_names_exist():
 
 def test_support_cutoff_has_one_home():
     # the relative support cut is linalg.on_support; outside linalg.py only the
-    # Newton kernels, whose spectra are already scaled to a top of 1, compare with the constant
-    allowed = {"_scaled_power", "_scaled_powers"}
+    # Newton kernel, whose spectra are already scaled to a top of 1, compares with the constant
+    allowed = {"_scaled_powers"}
     found = []
 
     def visit(node, path, scope):

@@ -461,6 +461,67 @@ class TestSandwichedUpInvariant:
         assert np.isnan(grid[0, 0]) and math.isfinite(grid[0, 1])
         assert calls.count(np) == entropies._TWO_STATE_MAX_EVAL
 
+    def test_two_state_solve_stops_only_on_its_certificate(self, monkeypatch):
+        # a bracket within 1e-11 in z once ended both twins after 2 evaluations at these points
+        # of a 20000-point scan, with gaps of 1.6e-12 to 3.6e-12 above the tolerance, and the
+        # stacked twin flagged them certified; each now certifies at its last evaluation
+        points = [(3.494709487903549, 0.1126737193409224, 10.084462013745858),
+                  (3.4367887284965457, 0.892558563576471, 51.493963746948204),
+                  (3.482514156329505, 0.5398770362281413, 39.77705620934534),
+                  (3.4852323784695693, 0.777170887681834, 4.801038776256277)]
+        merit, gaps = entropies._two_state_merit, {}  # p0 -> the gap of its last evaluation
+
+        def recorded(p0, *args):
+            evaluate, sense, start = merit(p0, *args)
+
+            def record(z):
+                out = evaluate(z)
+                gaps.update(zip(np.atleast_1d(p0).tolist(), np.atleast_1d(out[2]).tolist()))
+                return out
+            return record, sense, start
+
+        monkeypatch.setattr(entropies, "_two_state_merit", recorded)
+        rho0s = np.array([build_ensemble(ProtocolParams(2, alpha, eta)).rho0
+                          for alpha, eta, _ in points])
+        orders = np.array([a for *_, a in points])
+        tol = entropies._CERTIFY_BITS * entropies.LN2
+        for rho0, a in zip(rho0s, orders.tolist()):
+            gaps.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entropies._two_state_log_trace(rho0, a)
+            [gap] = gaps.values()
+            assert gap <= tol
+        gaps.clear()
+        _, certified = entropies._two_state_log_traces(rho0s, orders)
+        assert certified.all() and len(gaps) == len(points)
+        assert max(gaps.values()) <= tol
+
+    def test_mixed_supports_share_one_stack(self):
+        # QPSK rows with zero diagonal entries (eta = 1, alpha = 0 and alpha = 1e-8 leave one
+        # nonzero entry, eta = 1 - 1e-5 two or three) and full rows, in one call: each row has
+        # the bits and the flag of its one-row solve, and no numpy warning is raised
+        points = [(1.0, 1.0), (0.0, 0.9), (1e-8, 0.9), (0.05, 0.99999), (1.0, 0.99999),
+                  (1.0, 0.9), (2.5, 0.3)]
+        orders = [0.7, 1.001, 4.0]
+        rho0s = np.array([build_ensemble(ProtocolParams(4, alpha, eta)).rho0
+                          for alpha, eta in points for _ in orders])
+        a = np.tile(orders, len(points))
+        assert [int((np.diag(rho0) > 0.0).sum()) for rho0 in rho0s[::3]] == [1, 1, 1, 2, 3, 4, 4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_t, certified, gap = entropies._newton_log_traces(rho0s, a)
+            for i in range(a.size):
+                alone = entropies._newton_log_traces(rho0s[i:i + 1], a[i:i + 1])
+                assert [v[0] for v in alone] == [log_t[i], certified[i], gap[i]]
+        assert certified.all()
+        # the values when each support size was solved as its own smaller stack
+        assert log_t.tolist() == [0.0] * 9 + [
+            -2.781362063409528e-11, 7.017467017740036e-13, 7.881268345208079e-06,
+            -3.2444725538220894e-06, 5.52784701684386e-08, 0.006252406106353096,
+            -0.020704244991208064, 0.00011644208078858548, 0.9431258815586625,
+            -0.1925611232599101, 0.0008028723495385193, 3.4442024299100584]
+
     def test_four_state_single_point_is_a_one_row_stack(self):
         # one Newton solve: a point alone has the bits it has in a stack of
         # 200, on the optimizer's box and below a = 1
@@ -510,15 +571,15 @@ class TestSandwichedUpInvariant:
         orders = 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(63.0), len(etas))
         brackets = []
 
-        def record(rows, lower, upper):
-            brackets.append((rows, lower, upper))
-            return np.zeros(rows.size, dtype=bool)
+        def record(lower, upper):
+            brackets.append((lower, upper))
+            return np.zeros(lower.size, dtype=bool)
 
         log_t, certified, _ = entropies._newton_log_traces(rho0s, orders, record)
         assert certified.all() and len(brackets) > 10
         value = 2.0 + log_t / (math.log(2.0) * (1.0 - orders))
-        for rows, lower, upper in brackets:
-            assert np.all(lower <= value[rows]) and np.all(value[rows] <= upper)
+        for lower, upper in brackets:
+            assert np.all(lower <= value) and np.all(value <= upper)
 
     def test_two_state_slope_matches_central_differences(self):
         # d(s log T)/dz = -|a - 1| (w_1 - q_1) with w_1 / w_0 = e^(z + phi);

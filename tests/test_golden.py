@@ -19,7 +19,7 @@ PREFIX = "# pskrates "
 
 
 def test_golden_set_present():
-    assert len(GOLDEN) == 13
+    assert len(GOLDEN) == 15
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pskrates.oracles import (
     sample_homodyne_bpsk,
 )
 from pskrates.linalg import random_pure_tripartite
+from pskrates.rng import normals, philox
 from pskrates.states import ProtocolParams, build_ensemble, cond_prob_table
 
 from conftest import philox_rng, random_protocol
@@ -71,6 +73,25 @@ class TestSamplers:
         assert counts(sample_heterodyne_qpsk, 4) == [
             [68403, 14227, 2988, 14212], [14395, 68589, 13941, 2947],
             [2841, 14312, 68921, 14095], [14361, 2872, 14150, 68746]]
+
+    @pytest.mark.parametrize("sampler, n_states, deviates",
+                             [(sample_homodyne_bpsk, 2, 1), (sample_heterodyne_qpsk, 4, 2)])
+    def test_sampler_holds_one_draw_at_a_time(self, sampler, n_states, deviates):
+        # each symbol's arrays go before the next symbol's draw, so the traced peak is that of
+        # one symbol's draw, within a byte per shot; keeping them adds 8 (BPSK) or 19 (QPSK)
+        def traced_peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        shots = 200_000
+        cfg = McConfig(shots=shots, seed=3, params=ProtocolParams(n_states, 1.0, 0.9))
+        normals(philox(3, 0), 10)  # first-call allocations stay out of the peaks
+        draw = traced_peak(lambda: normals(philox(3, 0), deviates * shots))
+        assert traced_peak(lambda: sampler(cfg)) <= draw + shots
 
     def test_counts_account_for_every_shot(self):
         cfg = McConfig(shots=10_000, seed=1, params=ProtocolParams(4, 0.7, 0.5))

@@ -349,7 +349,9 @@ class TestOptimizeRate:
 
     def test_grid_solve_certifies_only_the_contenders(self, monkeypatch):
         # a deterministic count of the grid solve's row evaluations (2369 when
-        # every grid point was certified)
+        # every grid point was certified); at eta = 0.99999 the rows of alpha =
+        # 0.05 have zero diagonal entries, and a bracket that took their
+        # floors (~1e11) could stop none of them (1545 rows)
         powers, inside, rows = entropies._scaled_powers, [], []
         grid_fn = entropies.sandwiched_up_invariant_grid
 
@@ -367,8 +369,10 @@ class TestOptimizeRate:
 
         monkeypatch.setattr(entropies, "_scaled_powers", counted)
         monkeypatch.setattr(entropies, "sandwiched_up_invariant_grid", grid)
-        optimize_rate("S", 4, 0.9, [1e4])
-        assert rows[0] == 625 and sum(rows) < 1000
+        for eta in (0.9, 0.99999):
+            rows.clear()
+            optimize_rate("S", 4, eta, [1e4])
+            assert rows[0] == 625 and sum(rows) < 1000, eta
 
     def test_uncertified_grid_points_fall_back_to_single_solves(self, monkeypatch):
         # with no Newton step allowed, no grid point certifies in the array
