@@ -19,7 +19,7 @@ import functools
 import math
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -403,8 +403,8 @@ def _scaled_powers(m: np.ndarray, a: np.ndarray, n: int) -> _ScaledPower:
     x[x <= linalg.SUPPORT_CUTOFF] = 0.0
     xa = x ** a[:, None]
     t = xa.sum(axis=1)
-    x_min = np.where(x > 0.0, x, 1.0).min(axis=1)
-    eps = np.where(a > 1.0, a, a * x_min ** (a - 1.0)) * n * n * _UNIT_ROUNDOFF
+    eps = (a * np.where(x > 0.0, x, 1.0).min(axis=1) ** np.minimum(a - 1.0, 0.0)
+           if a.min() < 1.0 else a) * n * n * _UNIT_ROUNDOFF  # L = a, or a x_min^(a-1) below 1
     log_scale, log_t = _logs(top), _logs(t)
     return _ScaledPower(top, x, v, xa, t, a * log_scale + log_t,
                         _UNIT_ROUNDOFF * (a * abs(log_scale) + abs(log_t)) + 2.0 * eps, eps)
@@ -623,7 +623,7 @@ class ContinuityTerms:
 
     Each is a classical functional of the Nussbaum-Szkoła distributions
     P_ij = l_i W_ij and Q_ij = m_j W_ij (Ann. Statist. 37, 2009), with l and
-    u_i from one ``eigh`` of rho_{E|0}, m the diagonal of rho_E (diagonal by
+    u_i from the ``eigh`` of rho_{E|0}, m the diagonal of rho_E (diagonal by
     construction) and W_ij = |<j|u_i>|^2. By symmetry block 0 of rho_YE
     stands for all N blocks:
 
@@ -636,8 +636,9 @@ class ContinuityTerms:
     still counts in them (zeroing its log moves V by 1e-12 on near-pure
     QPSK states). H_a takes the supports of ``support_spectrum`` (the 1e-12
     relative cut on both spectra), like ``petz_down_cq``, which it matches
-    to a few ulps of the log-trace. Holds no reference to the ensemble, so
-    the memo never keeps one alive.
+    to a few ulps of the log-trace. ``_stack_terms`` builds many at once with
+    one-row bits; H_2, which only B needs, is left to it. None refers to its
+    ensemble, so the memo never keeps one alive.
     """
 
     n_states: int
@@ -646,29 +647,6 @@ class ContinuityTerms:
     l: np.ndarray  # eigenvalues of rho_{E|0} on its support
     w: np.ndarray  # W on both supports
     m: np.ndarray  # diagonal of rho_E on its support
-    petz_2: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "petz_2", self.petz_down(2.0))
-
-    @classmethod
-    def from_ensemble(cls, ensemble: CQEnsemble) -> "ContinuityTerms":
-        """The terms of one ensemble, from one ``eigh`` of rho_{E|0}."""
-        n = ensemble.n_states
-        lam, u = np.linalg.eigh(ensemble.rho0)
-        m = ensemble.avg_diag
-        w = u.T**2
-        pos_l, pos_m = lam > 0.0, m > 0.0
-        l_pos, m_pos = lam[pos_l], m[pos_m]
-        p = l_pos[:, None] * w[pos_l][:, pos_m]
-        x = np.log2(l_pos / n)[:, None] - np.log2(m_pos)
-        d = float((p * x).sum())
-        sup_l, sup_m = linalg.on_support(lam), linalg.on_support(m)
-        support = (lam[sup_l], w[sup_l][:, sup_m], m[sup_m])
-        for arr in support:
-            arr.setflags(write=False)
-        return cls(n, float(math.log2(n) - l_pos @ np.log2(l_pos) + m_pos @ np.log2(m_pos)),
-                   float((p * (x - d) ** 2).sum()), *support)
 
     def petz_down(self, a: float) -> float:
         """Petz-Rényi H_a(Y|E), within a few ulps of ``petz_down_cq``'s log-trace."""
@@ -683,38 +661,71 @@ class ContinuityTerms:
             raise ValueError(f"continuity coefficient needs a in (1, {CONTINUITY_A_MAX}], got {a}")
         h = self.von_neumann
         scale = 2.0 ** ((a - 1.0) * (h - self.petz_down(a))) / (6.0 * (2.0 - a) ** 3 * LN2)
-        k = scale * math.log(2.0 ** (h - self.petz_2) + math.e**2) ** 3
+        k = scale * math.log(2.0 ** (h - self.petz_down(2.0)) + math.e**2) ** 3
         return k, h - (a - 1.0) * LN2 / 2.0 * self.variance - (a - 1.0) ** 2 * k
 
-    def continuity_grid(self, orders: np.ndarray) -> np.ndarray:
-        """B_a at an array of orders in (1, CONTINUITY_A_MAX]: ``continuity``'s array twin."""
-        a = np.asarray(orders, dtype=float)
-        if not np.all((1.0 < a) & (a <= CONTINUITY_A_MAX)):
-            raise ValueError(f"continuity coefficient needs orders in (1, {CONTINUITY_A_MAX}]")
-        t = ((self.l ** a[:, None]) @ self.w * self.m ** (1.0 - a[:, None])).sum(axis=1)
-        h = self.von_neumann
-        petz = math.log2(self.n_states) + np.log2(t) / (1.0 - a)
-        k = (2.0 ** ((a - 1.0) * (h - petz)) / (6.0 * (2.0 - a) ** 3 * LN2)
-             * math.log(2.0 ** (h - self.petz_2) + math.e**2) ** 3)
-        return h - (a - 1.0) * LN2 / 2.0 * self.variance - (a - 1.0) ** 2 * k
+
+def _groups(keys) -> dict:
+    """Each distinct key -> the indices where it occurs, in order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _restricted(l: np.ndarray, m: np.ndarray, wt: np.ndarray, kl: tuple, km: tuple) -> tuple:
+    """l, m and W (wt[:, j, i] = W_ij) at the kept entries, rows laid out as alone (or views)."""
+    if not all(kl + km):
+        l, m, wt = l.compress(kl, 1), m.compress(km, 1), wt.compress(km, 1).compress(kl, 2)
+    return l, m, wt.swapaxes(1, 2)
+
+
+def _stack_terms(ensembles: Sequence[CQEnsemble]) -> list[ContinuityTerms]:
+    """Unmemoized terms of ensembles of one N: one stacked ``eigh``, then an array pass per support
+    pattern whose matmuls and row sums, over rows laid out as alone, keep each row's bits."""
+    n, terms = ensembles[0].n_states, [None] * len(ensembles)
+    lam, u = np.linalg.eigh(rho0s := np.array([e.rho0 for e in ensembles]))
+    spectra = np.concatenate((lam, rho0s.diagonal(0, 1, 2)), 1).reshape(len(terms), 2, n)  # l, m
+    groups = _groups(tuple(map(tuple, pos + sup)) for pos, sup in  # (l > 0, m > 0, l cut, m cut)
+                     zip((spectra > 0.0).tolist(), linalg.on_support(spectra).tolist()))
+    for key, rows in groups.items():  # l, m and W transposed; one group takes views, not copies
+        stack = [s[rows] if len(groups) > 1 else s for s in (spectra[:, 0], spectra[:, 1], u**2)]
+        l_pos, m_pos, w_pos = pos = _restricted(*stack, *key[:2])
+        l_col, log_m = l_pos[:, :, None], np.log2(m_pos[:, None, :])
+        p, x = l_col * w_pos, np.log2(l_col / n) - log_m
+        d = np.add.reduce((p * x).reshape(len(rows), -1), 1)
+        h = math.log2(n) - np.log2(l_pos[:, None, :]) @ l_col + log_m @ m_pos[:, :, None]
+        v = np.add.reduce((p * (x - d[:, None, None]) ** 2).reshape(len(rows), -1), 1)
+        l, m, w = pos if key[:2] == key[2:] else _restricted(*stack, *key[2:])
+        for arr in (l, m, w):
+            arr.setflags(write=False)
+        for i, h_i, v_i, *row in zip(rows, h.ravel().tolist(), v.tolist(), l, w, m):
+            terms[i] = ContinuityTerms(n, h_i, v_i, *row)
+    return terms
 
 
 #: The terms of every live ensemble asked for, keyed weakly by identity
 #: (``CQEnsemble`` is frozen, compares by identity and holds read-only
-#: arrays), so each slot goes with its ensemble. ``optimize_rate`` holds
-#: the ensembles of its grid and its polish steps until it returns, so
-#: the grids of all its estimators and the scalar evaluations at the same
-#: amplitudes share one set of terms: under 1 kB per amplitude, about
-#: 0.1 MB for a one-n call and a few MB for a 25-point sweep.
+#: arrays), so each slot goes with its ensemble. ``continuity_terms_of``
+#: builds the unseen ensembles of a call in one ``_stack_terms`` pass.
+#: ``optimize_rate`` holds the ensembles of its grid and its polish steps
+#: until it returns, so the grids of all its estimators and the scalar
+#: evaluations at the same amplitudes share one set of terms: under 1 kB
+#: per amplitude, about 0.1 MB for a one-n call and a few MB for a
+#: 25-point sweep.
 _TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def continuity_terms_of(ensembles: Sequence[CQEnsemble]) -> list[ContinuityTerms]:
+    """The continuity terms of each ensemble (one N), the unseen ones built in one stacked pass."""
+    if new := [e for e in dict.fromkeys(ensembles) if e not in _TERMS]:
+        _TERMS.update(zip(new, _stack_terms(new)))
+    return [_TERMS[e] for e in ensembles]
+
+
 def continuity_terms(ensemble: CQEnsemble) -> ContinuityTerms:
-    """The amplitude-only continuity terms, computed once per live ensemble."""
-    terms = _TERMS.get(ensemble)
-    if terms is None:
-        terms = _TERMS[ensemble] = ContinuityTerms.from_ensemble(ensemble)
-    return terms
+    """The amplitude-only continuity terms, computed once per live ensemble (a one-row build)."""
+    return _TERMS.get(ensemble) or _TERMS.setdefault(ensemble, _stack_terms([ensemble])[0])
 
 
 def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
@@ -726,17 +737,32 @@ def continuity_bound(ensemble: CQEnsemble, a: float) -> float:
 
 
 def continuity_bound_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
-    """``continuity_bound`` at every (ensemble, order) pair, shape (A, O).
-
-    numpy's powers and sums may round differently from the scalar path:
-    each value lies within 1e-14 of it relative to max(1, |B_a|).
-    """
-    return np.array([continuity_terms(e).continuity_grid(orders) for e in ensembles])
+    """``continuity_bound`` at each (ensemble, order), shape (A, O), for ensembles of one N: an
+    array expression per support group, each row exact against a one-row grid and within 1e-14
+    of the scalar path relative to max(1, |B_a|) (numpy's powers and sums round unlike it)."""
+    a = np.asarray(orders, dtype=float)
+    if not np.all((1.0 < a) & (a <= CONTINUITY_A_MAX)):
+        raise ValueError(f"continuity coefficient needs orders in (1, {CONTINUITY_A_MAX}]")
+    terms = continuity_terms_of(ensembles)
+    out = np.empty((len(terms), a.size))
+    for rows in _groups(t.w.shape for t in terms).values():
+        group = [terms[i] for i in rows]
+        l, m, w_t = map(np.array, zip(*[(t.l, t.m, t.w.T) for t in group]))  # W rows F-ordered
+        h, v = np.array([[t.von_neumann, t.variance] for t in group]).T[..., None]
+        w, log_n = w_t.swapaxes(1, 2), math.log2(group[0].n_states)
+        # H_2 of each row, with the bits of its ``petz_down(2.0)``
+        h_2 = [log_n - math.log2(s) for s in (l[:, None] ** 2.0 @ w @ m[..., None] ** -1.0).flat]
+        petz = log_n + np.log2((l[:, None] ** a[:, None] @ w * m[:, None] ** (1.0 - a[:, None]))
+                               .sum(axis=2)) / (1.0 - a)
+        k = (2.0 ** ((a - 1.0) * (h - petz)) / (6.0 * (2.0 - a) ** 3 * LN2)
+             * [[math.log(2.0 ** d + math.e**2) ** 3] for d in (h.ravel() - h_2).tolist()])
+        out[rows] = h - (a - 1.0) * LN2 / 2.0 * v - (a - 1.0) ** 2 * k
+    return out
 
 
 def von_neumann_grid(ensembles: Sequence[CQEnsemble], orders) -> np.ndarray:
     """``von_neumann_cq`` of each ensemble as an (A, 1) column; it takes no order."""
-    return np.array([[continuity_terms(e).von_neumann] for e in ensembles])
+    return np.array([[t.von_neumann] for t in continuity_terms_of(ensembles)])
 
 
 @dataclass(frozen=True)

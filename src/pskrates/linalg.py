@@ -59,8 +59,8 @@ def eig(matrix) -> Spectrum:
 
 
 def on_support(values: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """The support cut: values above ``cutoff`` times the largest, or above 0 if none is > 0."""
-    return values > cutoff * values.max(initial=0.0)
+    """The support cut of each row (last axis): values above ``cutoff`` times its top, or > 0."""
+    return values > cutoff * values.max(axis=-1, initial=0.0, keepdims=values.ndim > 1)
 
 
 def support_spectrum(matrix) -> Spectrum:

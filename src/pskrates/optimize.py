@@ -8,6 +8,7 @@ interpolation models (the model idea of Powell's NEWUOA and BOBYQA).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -85,9 +86,13 @@ def _stencil(x, step, lower, upper, cross):
     return np.array(points + [corner] * bool(cross))
 
 
+#: ``np.triu_indices(d)``, the quadratic terms' index pairs, built once per dimension d.
+_triu_indices = functools.cache(np.triu_indices)
+
+
 def _quadratic(offsets, values):
     """Gradient and Hessian at 0 of the least-squares quadratic through (offset, value) pairs."""
-    i, j = np.triu_indices(offsets.shape[1])
+    i, j = _triu_indices(offsets.shape[1])
     basis = np.column_stack([np.ones(len(values)), offsets, offsets[:, i] * offsets[:, j]])
     coef, hess = np.linalg.lstsq(basis, values, rcond=None)[0], np.zeros((offsets.shape[1],) * 2)
     hess[i, j] = coef[1 + offsets.shape[1]:]

@@ -227,16 +227,16 @@ def optimize_rate(
     rate's rounding ``_ROUNDING`` (1 + 1/(a - 1)), its first model fitted to
     the winner's 3 x 3 block of grid values (AEP has no order). Every value
     reported comes from ``entropy_fn``, or for QPSK S from the stacked solve
-    that has its bits, which also scores each polish stencil's unseen points
-    in one call. QPSK S ranks its grid by certified brackets: the grid solve
-    stops a point once its rate bracket lies below another's bracket bottom
-    at every n, by more than both points' rounding and 1e-12 bits, and one
-    more call certifies the stopped points of the winners' blocks, so each
-    winner and first model is that of a fully certified grid. A term is
-    computed once per point and call (it does not depend on n), so a rate
-    is never below the winner's, and a result equals that of a one-n,
-    one-estimator call bit for bit. Each amplitude's ensemble, leak and
-    continuity terms serve every estimator.
+    that has its bits; a polish stencil's unseen points take one call of it
+    (AEP and B: one stacked build of their terms, with the same bits). QPSK S
+    ranks its grid by certified brackets: the grid solve stops a point once its
+    rate bracket lies below another's bracket bottom at every n, by more than
+    both points' rounding and 1e-12 bits, and one more call certifies the
+    stopped points of the winners' blocks, so each winner and first model is
+    that of a fully certified grid. A term is computed once per point and call
+    (it does not depend on n), so a rate is never below the winner's, and a
+    result equals that of a one-n, one-estimator call bit for bit. Each
+    amplitude's ensemble, leak and continuity terms serve every estimator.
 
     A ConvergenceWarning of an entropy term counts at every block size that
     uses it: that result has ``converged=False``, and one ConvergenceWarning
@@ -281,12 +281,14 @@ def optimize_rate(
         terms.update(((spec.name, alpha, log_a), (1.0 + math.exp(log_a), h, []))
                      for (alpha, log_a), h in zip(points, values) if math.isfinite(h))
 
-    def solve_unseen(spec: Estimator, points: list) -> None:  # in one stacked solve
-        new = [p for p in points if (spec.name, *p) not in terms] if spec.name in exact else []
-        if new:
+    def solve_unseen(spec: Estimator, points: list) -> None:  # in one stacked call
+        new = [p for p in points if (spec.name, *p) not in terms]
+        ensembles = [amplitude(p[0])[0] for p in new]
+        if new and spec.name in exact:
             remember(spec, new, entropies.sandwiched_up_invariant_pairs(
-                [amplitude(alpha)[0] for alpha, _ in new],
-                [1.0 + math.exp(log_a) for _, log_a in new]).tolist())
+                ensembles, [1.0 + math.exp(log_a) for _, log_a in new]).tolist())
+        elif new and spec.entropy_fn != "sandwiched_up_invariant":  # AEP, B: continuity terms
+            entropies.continuity_terms_of(ensembles)
 
     def lead(grid: np.ndarray, leaks: np.ndarray, orders, h: np.ndarray, rate_at) -> tuple:
         # the grid's scores, its winner (max by value, ties to the smallest parameters) and the

@@ -9,11 +9,11 @@ import pytest
 import pskrates.entropies as entropies
 from pskrates.entropies import (
     CONTINUITY_A_MAX,
-    ContinuityTerms,
     ConvergenceWarning,
     bpsk_closed_forms,
     continuity_bound,
     continuity_terms,
+    continuity_terms_of,
     entropy_report,
     entropy_variance_cq,
     petz_down_cq,
@@ -223,7 +223,7 @@ class TestContinuityBound:
                       CONTINUITY_A_MAX)
             ensemble = build_ensemble(params)
             h, v = von_neumann_cq(ensemble), entropy_variance_cq(ensemble)
-            fresh = ContinuityTerms.from_ensemble(ensemble)  # built anew, outside the memo
+            [fresh] = entropies._stack_terms([ensemble])  # a one-row build, outside the memo
             h_2 = fresh.petz_down(2.0)
             for a in orders:
                 k = (2.0 ** ((a - 1.0) * (h - fresh.petz_down(a)))
@@ -267,6 +267,7 @@ class TestContinuityBound:
             entropies.continuity_bound_grid(ensembles[:1], [2.0])
 
     def test_terms_take_one_eigh(self, monkeypatch):
+        # one ensemble, and a 25-amplitude B grid: one stacked eigh each
         ensemble = build_ensemble(ProtocolParams(4, 1.1, 0.8))
         calls = {"eigh": 0, "eigvalsh": 0}
         for name in calls:
@@ -276,6 +277,45 @@ class TestContinuityBound:
             monkeypatch.setattr(np.linalg, name, counted)
         continuity_terms(ensemble)
         assert calls == {"eigh": 1, "eigvalsh": 0}
+        ensembles = [build_ensemble(ProtocolParams(4, float(alpha), 0.9))
+                     for alpha in np.linspace(0.05, 3.0, 25)]
+        entropies.continuity_bound_grid(ensembles, [1.5, CONTINUITY_A_MAX])
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 0.999, 0.99999, 1.0])
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_stacked_terms_equal_one_row_builds(self, n_states, eta):
+        # the stacked build and the grid change no bit of any row, on the
+        # optimizer's 25 amplitudes; from eta = 0.99 on, rows differ in how
+        # many eigenvalues are positive or above the support cut
+        alphas = np.linspace(0.05, 3.0, 25).tolist()
+        stacked = [build_ensemble(ProtocolParams(n_states, alpha, eta)) for alpha in alphas]
+        alone = [build_ensemble(ProtocolParams(n_states, alpha, eta)) for alpha in alphas]
+        orders = 1.0 + np.exp(np.linspace(math.log(1e-5), math.log(CONTINUITY_A_MAX - 1.0), 25))
+        grid = entropies.continuity_bound_grid(stacked, orders)
+        for row, ensemble, terms in zip(grid, alone, continuity_terms_of(stacked)):
+            one = entropies._stack_terms([ensemble])[0]
+            for name in ("von_neumann", "variance"):
+                assert getattr(terms, name) == getattr(one, name)
+            for name in ("l", "w", "m"):
+                got, want = getattr(terms, name), getattr(one, name)
+                assert np.array_equal(got, want) and got.strides == want.strides
+                assert not got.flags.writeable
+            assert np.array_equal(row, entropies.continuity_bound_grid([ensemble], orders)[0])
+            # and the row is the one-ensemble array expression, H_2 from the scalar path
+            a, h = orders, one.von_neumann
+            t = (one.l ** a[:, None] @ one.w * one.m ** (1.0 - a[:, None])).sum(axis=1)
+            petz = math.log2(n_states) + np.log2(t) / (1.0 - a)
+            k = (2.0 ** ((a - 1.0) * (h - petz)) / (6.0 * (2.0 - a) ** 3 * entropies.LN2)
+                 * math.log(2.0 ** (h - one.petz_down(2.0)) + math.e**2) ** 3)
+            assert np.array_equal(row, h - (a - 1.0) * entropies.LN2 / 2.0 * one.variance
+                                  - (a - 1.0) ** 2 * k)
+        lam = np.linalg.eigh(np.array([e.rho0 for e in stacked]))[0]
+        spectra = np.concatenate((lam, [e.avg_diag for e in stacked]), axis=1)
+        nonpositive = int((spectra <= 0.0).any(axis=1).sum())
+        cut = int(sum(t.l.size + t.m.size < 2 * n_states for t in continuity_terms_of(stacked)))
+        if (n_states, eta) in ((4, 0.999), (4, 0.99999)):  # ragged stacks
+            assert (nonpositive, cut) == {0.999: (1, 4), 0.99999: (13, 25)}[eta]
 
     def test_second_order_needs_no_eigensolve(self, monkeypatch):
         ensemble = build_ensemble(ProtocolParams(4, 1.1, 0.8))

@@ -444,15 +444,39 @@ class TestOptimizeRate:
     @pytest.mark.parametrize("n_states", [2, 4])
     def test_estimators_of_one_call_share_each_amplitude(self, n_states, monkeypatch):
         # AEP and B read one set of continuity terms per amplitude, on the
-        # grid and in every polish step
+        # grid and in every polish step: each amplitude enters the stacked
+        # build once
         counts = collections.Counter()
-        build = entropies.ContinuityTerms.from_ensemble
-        monkeypatch.setattr(entropies.ContinuityTerms, "from_ensemble", classmethod(
-            lambda cls, ensemble: counts.update([ensemble.params.alpha]) or build(ensemble)))
+        build = entropies._stack_terms
+        monkeypatch.setattr(entropies, "_stack_terms", lambda ensembles: counts.update(
+            e.params.alpha for e in ensembles) or build(ensembles))
         optimize_rate("AEP,B", n_states, 0.9, [1e4, 1e6])
         grid = np.linspace(*rates.ALPHA_BOUNDS, rates.GRID_POINTS).tolist()
         assert set(grid) <= set(counts)
         assert set(counts.values()) == {1}
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_a_polish_stencil_takes_one_terms_build(self, n_states, monkeypatch):
+        # a guard that needs no timing: each batch the polish scores builds
+        # the continuity terms of its unseen amplitudes in one stacked call
+        builds, batches = [], []
+        build, polish = entropies._stack_terms, rates.quadratic_polish
+        monkeypatch.setattr(entropies, "_stack_terms",
+                            lambda ensembles: builds.append(len(ensembles)) or build(ensembles))
+
+        def counted(fn, *args):
+            def scored(x):
+                start = len(builds)
+                values = fn(x)
+                batches.append((len(x), builds[start:]))
+                return values
+            return polish(scored, *args)
+
+        monkeypatch.setattr(rates, "quadratic_polish", counted)
+        optimize_rate("AEP,B", n_states, 0.9, [1e4])
+        assert builds[0] == rates.GRID_POINTS  # the grid: one build for both estimators
+        assert all(len(calls) <= 1 for _, calls in batches)
+        assert any(size > 1 and calls[0] > 1 for size, calls in batches if calls)
 
 
 class TestPolish:
